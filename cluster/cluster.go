@@ -171,17 +171,6 @@ func (s *Session) PolicyName() string { return s.policyName }
 // Policy returns the negotiated precision policy.
 func (s *Session) Policy() *quant.Policy { return s.policy }
 
-// CodecName returns the negotiated policy's canonical spelling.
-//
-// Deprecated: sessions negotiate whole policies now; use PolicyName.
-func (s *Session) CodecName() string { return s.policyName }
-
-// Codec returns the negotiated policy's base codec.
-//
-// Deprecated: the base codec alone loses the policy's exemption target
-// and per-tensor rules; use Policy.
-func (s *Session) Codec() quant.Codec { return s.policy.Base }
-
 // Fabric returns the established mesh transport. The session owns it;
 // Close tears it down.
 func (s *Session) Fabric() *comm.RemoteFabric { return s.fabric }

@@ -195,11 +195,11 @@ func TestRendezvousThreeRanks(t *testing.T) {
 		if s.Rank() != rank || s.World() != 3 {
 			t.Fatalf("rank %d session claims rank %d of %d", rank, s.Rank(), s.World())
 		}
-		if s.CodecName() != "qsgd4b512" {
-			t.Fatalf("rank %d negotiated %q, want qsgd4b512", rank, s.CodecName())
+		if s.PolicyName() != "qsgd4b512" {
+			t.Fatalf("rank %d negotiated %q, want qsgd4b512", rank, s.PolicyName())
 		}
-		if s.Codec().Name() != "qsgd4b512" {
-			t.Fatalf("rank %d codec object is %q", rank, s.Codec().Name())
+		if s.Policy().Base.Name() != "qsgd4b512" {
+			t.Fatalf("rank %d base codec is %q", rank, s.Policy().Base.Name())
 		}
 		if len(s.Peers()) != 3 {
 			t.Fatalf("rank %d sees %d peers", rank, len(s.Peers()))
@@ -241,8 +241,8 @@ func TestRendezvousWorldOfOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.World() != 1 || s.CodecName() != "1bit" {
-		t.Fatalf("got world %d codec %q", s.World(), s.CodecName())
+	if s.World() != 1 || s.PolicyName() != "1bit" {
+		t.Fatalf("got world %d codec %q", s.World(), s.PolicyName())
 	}
 }
 
@@ -417,8 +417,8 @@ func TestRendezvousRejectsDuplicateRank(t *testing.T) {
 func TestRendezvousNegotiatesFloorOnDisjointSets(t *testing.T) {
 	sessions := joinAll(t, 2, [][]string{{"qsgd4b512"}, {"1bit"}})
 	for rank, s := range sessions {
-		if s.CodecName() != "32bit" {
-			t.Fatalf("rank %d negotiated %q, want the 32bit floor", rank, s.CodecName())
+		if s.PolicyName() != "32bit" {
+			t.Fatalf("rank %d negotiated %q, want the 32bit floor", rank, s.PolicyName())
 		}
 	}
 }

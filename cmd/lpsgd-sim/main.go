@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/report"
 	"repro/sim"
@@ -78,7 +77,7 @@ func main() {
 		"precision", "samples/s", "iter_ms", "compute_ms", "quant_ms", "comm_ms",
 		"epoch_h", "wire_MB", "ratio_vs_raw")
 	for _, label := range labels {
-		r, err := core.Estimate(core.EstimateOptions{
+		r, err := Estimate(EstimateOptions{
 			Network: *network, Machine: *machine, Primitive: *primitive,
 			Precision: label, GPUs: *gpus, Batch: *batch,
 		})

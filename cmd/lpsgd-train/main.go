@@ -5,13 +5,13 @@
 //
 // Examples:
 //
-//	lpsgd-train -task image -codec qsgd4 -workers 8 -epochs 20
-//	lpsgd-train -task sequence -codec 1bit -workers 2 -nccl
+//	lpsgd-train -task image -policy qsgd4 -workers 8 -epochs 20
+//	lpsgd-train -task sequence -policy 1bit -workers 2 -nccl
 //	lpsgd-train -task image -policy "qsgd4b512;*.b=32bit" -workers 4
 //
 // -policy accepts the full precision-policy grammar (quant.ParsePolicy):
 // base codec, small-matrix exemption target, and per-tensor pattern
-// rules; it supersedes -codec when both are given. -save writes the
+// rules; a bare codec name is a valid policy. -save writes the
 // trained model as an nn checkpoint and -load warm-starts from one; in
 // cluster mode the same checkpoint is loaded by every forked rank, so
 // the replica invariant holds from the first exchange.
@@ -19,11 +19,11 @@
 // With -cluster N the run becomes a single-machine multi-process smoke
 // test of the cluster runtime: this process is rank 0 and coordinator,
 // and it forks N−1 copies of itself as worker processes that join the
-// rendezvous, negotiate the codec, and train over the dialled TCP
+// rendezvous, negotiate the policy, and train over the dialled TCP
 // mesh (for real multi-machine runs, launch cmd/lpsgd-worker on each
 // host instead):
 //
-//	lpsgd-train -task image -codec qsgd4 -cluster 3 -epochs 6
+//	lpsgd-train -task image -policy qsgd4 -cluster 3 -epochs 6
 //
 // -metrics-addr serves the observability plane over HTTP (/metrics in
 // Prometheus text format, /debug/vars, /debug/pprof, /trace as JSONL)
@@ -41,9 +41,13 @@
 // cluster, and with -metrics-addr the view is served at
 // /cluster/metrics and /cluster/status. Watch it live:
 //
-//	lpsgd-train -task image -codec qsgd4 -cluster 3 \
+//	lpsgd-train -task image -policy qsgd4 -cluster 3 \
 //	    -telemetry-every 10 -metrics-addr 127.0.0.1:9090 &
 //	lpsgd-top -addr 127.0.0.1:9090
+//
+// The flags lpsgd-worker shares (internal/runflags) are validated
+// before anything is forked, and forked ranks inherit all of them
+// except the per-process -metrics-addr, -trace-out and -save.
 //
 // Cluster runs carry a health plane: -heartbeat/-heartbeat-timeout
 // tune the failure detector (a dead rank aborts every survivor with a
@@ -73,114 +77,56 @@ import (
 	"repro/health"
 	"repro/internal/harness"
 	"repro/internal/report"
+	"repro/internal/runflags"
 	"repro/lpsgd"
-	"repro/obs"
 )
 
 func main() {
+	rf := runflags.Register(flag.CommandLine, "lpsgd-train", runflags.Defaults{
+		Policy: "32bit", Epochs: 12, TrainSamples: 768, TestSamples: 384,
+	})
 	var (
-		task    = flag.String("task", "image", "task: image or sequence")
-		codec   = flag.String("codec", "32bit", "gradient codec (quant.Parse grammar): 32bit, qsgd2/4/8/16, qsgd4b512, 1bit, 1bit*64, topk0.01, ...")
-		policy  = flag.String("policy", "", "precision policy (quant.ParsePolicy grammar), e.g. 'qsgd4b512;minfrac=0.95;*.b=32bit'; supersedes -codec")
-		workers = flag.Int("workers", 4, "simulated GPU count")
-		epochs  = flag.Int("epochs", 12, "training epochs")
-		batch   = flag.Int("batch", 64, "global minibatch size")
-		lr      = flag.Float64("lr", 0.05, "learning rate")
-		seed    = flag.Uint64("seed", 17, "random seed")
-		useNCCL = flag.Bool("nccl", false, "use the NCCL ring instead of MPI reduce-and-broadcast")
-		trainN  = flag.Int("train-samples", 768, "training set size")
-		testN   = flag.Int("test-samples", 384, "test set size")
-		saveTo  = flag.String("save", "", "write a checkpoint of the trained model to this file")
-		loadFrm = flag.String("load", "", "initialise weights from this checkpoint before training (cluster mode: every rank loads it)")
-
-		clusterN     = flag.Int("cluster", 0, "train as a cluster of this many worker processes (this process is rank 0; it forks the rest)")
-		clusterAddr  = flag.String("cluster-addr", "", "internal: rendezvous address of the parent coordinator (marks a forked worker)")
-		clusterRank  = flag.Int("cluster-rank", 0, "internal: rank of a forked worker")
-		clusterRejo  = flag.Bool("cluster-rejoin", false, "internal: this forked worker replaces a dead rank of the running session")
-		heartbeat    = flag.Duration("heartbeat", health.DefaultInterval, "cluster mode: heartbeat interval of the health plane (0 disables failure detection)")
-		hbTimeout    = flag.Duration("heartbeat-timeout", 0, "cluster mode: silence after which a peer is declared dead (0 = 8x the heartbeat interval)")
-		stepWait     = flag.Duration("step-deadline", 0, "abort if one synchronous step exceeds this wall time (0 = unbounded)")
-		rejoinWindow = flag.Duration("rejoin-window", 0, "cluster mode: make the session elastic — hold a rejoin barrier open this long after a rank death and re-fork the dead rank (0 disables)")
-		maxRejoins   = flag.Int("max-rejoins", 0, "cluster mode: rank deaths the supervisor repairs before giving up (0 = default)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /debug/vars, /debug/pprof and /trace on this address (e.g. 127.0.0.1:9090); not forwarded to forked workers")
-		traceOut    = flag.String("trace-out", "", "append the step-phase trace as JSONL to this file (convert/diff with lpsgd-trace); not forwarded to forked workers")
-		teleEvery   = flag.Int("telemetry-every", 0, "sample convergence telemetry (loss, gradient norms, live quantisation error) every N steps; forwarded to forked cluster workers, aggregated at /cluster/metrics and /cluster/status under -metrics-addr, watchable with lpsgd-top (0 = off)")
+		workers     = flag.Int("workers", 4, "simulated GPU count")
+		useNCCL     = flag.Bool("nccl", false, "use the NCCL ring instead of MPI reduce-and-broadcast")
+		clusterN    = flag.Int("cluster", 0, "train as a cluster of this many worker processes (this process is rank 0; it forks the rest)")
+		clusterAddr = flag.String("cluster-addr", "", "internal: rendezvous address of the parent coordinator (marks a forked worker)")
+		clusterRank = flag.Int("cluster-rank", 0, "internal: rank of a forked worker")
+		clusterRejo = flag.Bool("cluster-rejoin", false, "internal: this forked worker replaces a dead rank of the running session")
 	)
 	flag.Parse()
+	if err := rf.Validate(); err != nil {
+		runflags.Fail(2, err)
+	}
 
-	model, train, test, err := harness.Task(*task, *trainN, *testN, *seed)
+	model, train, test, err := harness.Task(rf.Task, rf.TrainSamples, rf.TestSamples, rf.Seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		runflags.Fail(2, err)
 	}
 
 	primitive := lpsgd.MPI
 	if *useNCCL {
 		primitive = lpsgd.NCCL
 	}
-	// A bare codec name is a valid policy, so one option covers both
-	// flags; -policy wins when both are given.
-	policySpec := *policy
-	if policySpec == "" {
-		policySpec = *codec
-	}
 	opts := []lpsgd.Option{
-		lpsgd.WithPolicy(policySpec),
+		lpsgd.WithPolicy(rf.Policy),
 		lpsgd.WithWorkers(*workers),
 		lpsgd.WithPrimitive(primitive),
-		lpsgd.WithBatchSize(*batch),
-		lpsgd.WithEpochs(*epochs),
-		lpsgd.WithLearningRate(float32(*lr)),
-		lpsgd.WithSeed(*seed),
-		lpsgd.WithStepDeadline(*stepWait),
+		lpsgd.WithBatchSize(rf.Batch),
+		lpsgd.WithEpochs(rf.Epochs),
+		lpsgd.WithLearningRate(float32(rf.LR)),
+		lpsgd.WithSeed(rf.Seed),
+		lpsgd.WithStepDeadline(rf.StepDeadline),
 	}
-	if *teleEvery < 0 {
-		fmt.Fprintln(os.Stderr, "lpsgd-train: -telemetry-every must not be negative")
-		os.Exit(2)
+	// The telemetry hub aggregates every rank's snapshots into the
+	// /cluster/{metrics,status} view; forked workers ship theirs over
+	// the control plane, so only this process serves one. Rank 0's
+	// registry and tracer observe its own ranks only.
+	plane, err := rf.Plane(max(*clusterN, 1))
+	if err != nil {
+		runflags.Fail(2, err)
 	}
-	var teleHub *cluster.TelemetryHub
-	if *teleEvery > 0 {
-		opts = append(opts, lpsgd.WithTelemetry(*teleEvery))
-		// The hub aggregates every rank's snapshots into the
-		// /cluster/{metrics,status} view; forked workers ship theirs
-		// over the control plane, so only this process needs one. The
-		// negotiated policy is stamped once the session settles.
-		teleHub = cluster.NewTelemetryHub(max(*clusterN, 1), "")
-		opts = append(opts, lpsgd.WithTelemetryObserver(teleHub.Observe))
-	}
-
-	// Observability plane: one registry+tracer pair per process. The
-	// tracer ring is sized for the /trace endpoint; -trace-out streams
-	// every span regardless of ring capacity.
-	var obsTracer *obs.Tracer
-	if *metricsAddr != "" || *traceOut != "" {
-		reg := obs.NewRegistry()
-		obsTracer = obs.NewTracer(1 << 16)
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			obsTracer.SetSink(f)
-		}
-		opts = append(opts, lpsgd.WithMetrics(reg), lpsgd.WithTracer(obsTracer))
-		if *metricsAddr != "" {
-			var extra []obs.Endpoint
-			if teleHub != nil {
-				extra = teleHub.Endpoints()
-			}
-			srv, err := obs.Serve(*metricsAddr, reg, obsTracer, extra...)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "observability plane on http://%s (/metrics, /debug/pprof, /trace)\n", srv.Addr())
-		}
-		defer obsTracer.Close()
-	}
+	defer plane.Close()
+	opts = append(opts, plane.Options()...)
 
 	// Cluster smoke mode: rank 0 coordinates on an ephemeral port and
 	// forks the other ranks as copies of this binary; forked workers
@@ -198,19 +144,18 @@ func main() {
 		// (the barrier only opens once they reach their verdict) plus
 		// the window itself — the 30s default would silently defeat a
 		// long window under slow detection.
-		hb := health.Config{Interval: *heartbeat, Timeout: *hbTimeout}.Resolved()
+		hb := health.Config{Interval: rf.Heartbeat, Timeout: rf.HeartbeatTimeout}.Resolved()
+		el := rf.ElasticConfig()
+		el.Enable = true
 		sess, snap, err := cluster.Rejoin(cluster.Config{
 			Addr: *clusterAddr, Rank: *clusterRank, World: *clusterN,
-			Accept:  []string{policySpec},
-			Timeout: hb.Timeout + elastic.Config{Enable: true, RejoinWindow: *rejoinWindow}.Resolved().RejoinWindow + 30*time.Second,
+			Accept:  []string{rf.Policy},
+			Timeout: hb.Timeout + el.Resolved().RejoinWindow + 30*time.Second,
 			Health:  hb,
-			Elastic: elastic.Config{
-				Enable: true, RejoinWindow: *rejoinWindow, MaxRejoins: *maxRejoins,
-			},
+			Elastic: el,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(5)
+			runflags.Fail(5, err)
 		}
 		fmt.Fprintf(os.Stderr, "rank %d rejoined (generation %d, resuming at step %d)\n",
 			sess.Rank(), sess.Generation(), snap.Step)
@@ -219,51 +164,30 @@ func main() {
 	case isChild:
 		opts = append(opts,
 			lpsgd.WithCluster(*clusterAddr, *clusterRank, *clusterN),
-			lpsgd.WithHeartbeat(*heartbeat, *hbTimeout),
-			lpsgd.WithElastic(*maxRejoins, *rejoinWindow))
+			lpsgd.WithHeartbeat(rf.Heartbeat, rf.HeartbeatTimeout),
+			lpsgd.WithElastic(rf.MaxRejoins, rf.RejoinWindow))
 	case *clusterN > 0:
 		coord, err := cluster.NewCoordinator(cluster.Config{
-			Addr: "127.0.0.1:0", World: *clusterN, Accept: []string{policySpec},
-			Health: health.Config{
-				Interval: *heartbeat,
-				Timeout:  *hbTimeout,
-				Disable:  *heartbeat == 0,
-			},
-			Elastic: elastic.Config{
-				Enable:       *rejoinWindow > 0,
-				RejoinWindow: *rejoinWindow,
-				MaxRejoins:   *maxRejoins,
-			},
+			Addr: "127.0.0.1:0", World: *clusterN, Accept: []string{rf.Policy},
+			Health:  rf.HealthConfig(),
+			Elastic: rf.ElasticConfig(),
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			runflags.Fail(1, err)
 		}
 		exe, err := os.Executable()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			runflags.Fail(1, err)
 		}
 		childArgs := func(r int, rejoin bool) []string {
-			args := []string{
-				"-task", *task, "-policy", policySpec,
-				"-epochs", strconv.Itoa(*epochs), "-batch", strconv.Itoa(*batch),
-				"-lr", fmt.Sprint(*lr), "-seed", strconv.FormatUint(*seed, 10),
-				"-train-samples", strconv.Itoa(*trainN), "-test-samples", strconv.Itoa(*testN),
+			args := append(rf.Forward(),
 				"-cluster", strconv.Itoa(*clusterN),
-				"-cluster-addr", coord.Addr(), "-cluster-rank", strconv.Itoa(r),
-				"-heartbeat", heartbeat.String(), "-heartbeat-timeout", hbTimeout.String(),
-				"-step-deadline", stepWait.String(),
-				"-rejoin-window", rejoinWindow.String(), "-max-rejoins", strconv.Itoa(*maxRejoins),
-				"-telemetry-every", strconv.Itoa(*teleEvery),
-			}
+				"-cluster-addr", coord.Addr(), "-cluster-rank", strconv.Itoa(r))
 			if rejoin {
-				args = append(args, "-cluster-rejoin")
-			}
-			if *loadFrm != "" && !rejoin {
-				// Warm starts reach every rank; a rejoining replacement
-				// gets its state from the session snapshot instead.
-				args = append(args, "-load", *loadFrm)
+				// A rejoining replacement gets its state from the
+				// session snapshot; a forwarded warm start would
+				// overwrite it.
+				args = append(args, "-cluster-rejoin", "-load=")
 			}
 			// Every rank must run the same aggregation primitive.
 			if *useNCCL {
@@ -271,71 +195,60 @@ func main() {
 			}
 			return args
 		}
-		super = newReforker(exe, childArgs, *rejoinWindow > 0, *maxRejoins)
+		super = newReforker(exe, childArgs, rf.RejoinWindow > 0, rf.MaxRejoins)
 		for r := 1; r < *clusterN; r++ {
 			if err := super.start(r, false); err != nil {
-				fmt.Fprintf(os.Stderr, "fork rank %d: %v\n", r, err)
-				os.Exit(1)
+				runflags.Fail(1, fmt.Errorf("fork rank %d: %w", r, err))
 			}
 		}
 		sess, err := coord.Join()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			runflags.Fail(1, err)
 		}
-		opts = append(opts, lpsgd.WithClusterSession(sess), lpsgd.WithElastic(*maxRejoins, *rejoinWindow))
+		opts = append(opts, lpsgd.WithClusterSession(sess), lpsgd.WithElastic(rf.MaxRejoins, rf.RejoinWindow))
 	}
 
 	trainer, err := lpsgd.NewTrainer(model, opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		runflags.Fail(1, err)
 	}
 	defer trainer.Close()
-	if teleHub != nil {
-		teleHub.SetPolicy(trainer.Policy().Name())
-	}
+	plane.SetPolicy(trainer.Policy().Name())
 	if restore != nil {
 		if err := trainer.Restore(restore); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			runflags.Fail(1, err)
 		}
 	}
-	if *loadFrm != "" {
-		f, err := os.Open(*loadFrm)
+	if rf.Load != "" {
+		f, err := os.Open(rf.Load)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			runflags.Fail(1, err)
 		}
 		err = trainer.LoadCheckpoint(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "load checkpoint: %v\n", err)
-			os.Exit(1)
+			runflags.Fail(1, fmt.Errorf("load checkpoint: %w", err))
 		}
-		fmt.Printf("resumed from %s\n", *loadFrm)
+		fmt.Printf("resumed from %s\n", rf.Load)
 	}
 	h, err := trainer.Run(train, test)
 	if err != nil {
-		obsTracer.Close() // flush -trace-out before the exit skips the defers
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		plane.Close() // flush -trace-out before the exit skips the defers
+		runflags.Fail(1, err)
 	}
-	if *saveTo != "" {
-		f, err := os.Create(*saveTo)
+	if rf.Save != "" {
+		f, err := os.Create(rf.Save)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			runflags.Fail(1, err)
 		}
 		err = trainer.SaveCheckpoint(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "save checkpoint: %v\n", err)
-			os.Exit(1)
+			runflags.Fail(1, fmt.Errorf("save checkpoint: %w", err))
 		}
-		fmt.Printf("checkpoint written to %s\n", *saveTo)
+		fmt.Printf("checkpoint written to %s\n", rf.Save)
 	}
 
 	if isChild {
@@ -366,7 +279,7 @@ func main() {
 		wireNote = " sent by rank 0"
 	}
 	t := report.New(
-		fmt.Sprintf("%s task, policy=%s, %d workers, %s", *task, policyName, world, prim),
+		fmt.Sprintf("%s task, policy=%s, %d workers, %s", rf.Task, policyName, world, prim),
 		"epoch", "train_loss", "test_acc_%", "lr", wireCol, "elapsed")
 	for _, e := range h.Epochs {
 		acc := "-"
@@ -382,8 +295,7 @@ func main() {
 
 	if super != nil {
 		if err := super.wait(); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
+			runflags.Fail(1, err)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 //	go vet -vettool=bin/lpsgd-vet ./...
 //
 // The five analyzers — wirebound, simclock, commerr, golifecycle,
-// nodeprecated — mechanically enforce the wire-format, determinism and
+// obsinert — mechanically enforce the wire-format, determinism and
 // concurrency invariants the repository previously stated only in
 // prose; see internal/lint's package documentation for what each one
 // checks and the //lint:allow escape hatch.

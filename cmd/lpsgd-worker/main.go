@@ -110,8 +110,8 @@ import (
 	"repro/elastic"
 	"repro/health"
 	"repro/internal/harness"
+	"repro/internal/runflags"
 	"repro/lpsgd"
-	"repro/obs"
 )
 
 // Exit codes, documented in the command comment above and asserted by
@@ -136,57 +136,33 @@ func exitCodeFor(err error) int {
 	return exitInternal
 }
 
-func fail(code int, err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(code)
-}
-
 func main() {
+	rf := runflags.Register(flag.CommandLine, "lpsgd-worker", runflags.Defaults{
+		Epochs: 4, TrainSamples: 384, TestSamples: 192,
+	})
 	var (
 		coordAddr = flag.String("coordinator", "127.0.0.1:7070", "rendezvous address (rank 0 listens, others dial)")
 		rank      = flag.Int("rank", 0, "this process's rank in [0, world)")
 		world     = flag.Int("world", 2, "total number of worker processes")
-		accept    = flag.String("accept", "32bit", "comma-separated policy strings this rank accepts (quant.ParsePolicy grammar)")
-		policy    = flag.String("policy", "", "preferred precision policy, advertised ahead of the -accept list")
+		accept    = flag.String("accept", "32bit", "comma-separated policy strings this rank accepts (quant.ParsePolicy grammar), advertised after -policy")
 		joinWait  = flag.Duration("join-timeout", 30*time.Second, "rendezvous handshake timeout (raise for hand-launched multi-machine runs; with -rejoin it bounds the wait for the rejoin barrier too)")
-		heartbeat = flag.Duration("heartbeat", health.DefaultInterval, "heartbeat interval of the health plane; the coordinator's value governs the session, 0 on rank 0 disables failure detection")
-		hbTimeout = flag.Duration("heartbeat-timeout", 0, "silence after which a peer is declared dead (0 = 8x the heartbeat interval)")
-		stepWait  = flag.Duration("step-deadline", 0, "abort if one synchronous step (compute+exchange) exceeds this wall time (0 = unbounded)")
-		rejoinWin = flag.Duration("rejoin-window", 0, "elastic sessions: hold a rejoin barrier open this long after a peer death so a replacement can take the dead rank's slot; the coordinator's value governs the session, 0 disables elasticity")
-		maxRejoin = flag.Int("max-rejoins", 0, "elastic sessions: rejoin rounds this process tolerates before a death verdict is fatal (0 = default, negative = unlimited)")
 		rejoin    = flag.Bool("rejoin", false, "join as the replacement for a dead rank of a running elastic session instead of forming a fresh one")
-		task      = flag.String("task", "image", "task: image or sequence")
-		epochs    = flag.Int("epochs", 4, "training epochs")
-		batch     = flag.Int("batch", 64, "global minibatch size, sharded over ranks")
-		lr        = flag.Float64("lr", 0.05, "learning rate")
-		seed      = flag.Uint64("seed", 17, "random seed (identical on every rank)")
-		trainN    = flag.Int("train-samples", 384, "training set size")
-		testN     = flag.Int("test-samples", 192, "test set size")
-		saveTo    = flag.String("save", "", "write a checkpoint of the trained model to this file")
-		loadFrom  = flag.String("load", "", "warm-start from this nn checkpoint before training (identical file on every rank)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /debug/vars, /debug/pprof and /trace on this address (per process — every rank needs its own)")
-		traceOut    = flag.String("trace-out", "", "append the step-phase trace as JSONL to this file (convert/diff with lpsgd-trace)")
-		teleEvery   = flag.Int("telemetry-every", 0, "sample convergence telemetry (loss, gradient norms, live quantisation error) every N steps and ship it over the control plane; with -metrics-addr the aggregated cluster view is served at /cluster/metrics and /cluster/status (0 = off)")
 	)
 	flag.Parse()
+	if err := rf.Validate(); err != nil {
+		runflags.Fail(exitUsage, err)
+	}
+	if *rejoin && rf.Load != "" {
+		runflags.Fail(exitUsage, fmt.Errorf("lpsgd-worker: -rejoin receives its state from the session snapshot; -load would overwrite it"))
+	}
 
-	model, train, test, err := harness.Task(*task, *trainN, *testN, *seed)
+	model, train, test, err := harness.Task(rf.Task, rf.TrainSamples, rf.TestSamples, rf.Seed)
 	if err != nil {
-		fail(exitUsage, err)
-	}
-	if *heartbeat < 0 || *hbTimeout < 0 || *stepWait < 0 || *rejoinWin < 0 {
-		fail(exitUsage, fmt.Errorf("lpsgd-worker: -heartbeat, -heartbeat-timeout, -step-deadline and -rejoin-window must not be negative"))
-	}
-	if *teleEvery < 0 {
-		fail(exitUsage, fmt.Errorf("lpsgd-worker: -telemetry-every must not be negative"))
-	}
-	if *rejoin && *loadFrom != "" {
-		fail(exitUsage, fmt.Errorf("lpsgd-worker: -rejoin receives its state from the session snapshot; -load would overwrite it"))
+		runflags.Fail(exitUsage, err)
 	}
 	var names []string
-	if *policy != "" {
-		names = append(names, *policy)
+	if rf.Policy != "" {
+		names = append(names, rf.Policy)
 	}
 	for _, name := range strings.Split(*accept, ",") {
 		if name = strings.TrimSpace(name); name != "" {
@@ -197,52 +173,17 @@ func main() {
 	// Observability plane: per-process registry and tracer. The HTTP
 	// server lives until the process exits; the trace sink is flushed
 	// on every exit path that follows training.
-	var (
-		obsTracer *obs.Tracer
-		obsReg    *obs.Registry
-		teleHub   *cluster.TelemetryHub
-	)
-	if *teleEvery > 0 {
-		// The policy is stamped after the rendezvous settles.
-		teleHub = cluster.NewTelemetryHub(*world, "")
-	}
-	if *metricsAddr != "" || *traceOut != "" {
-		obsReg = obs.NewRegistry()
-		obsTracer = obs.NewTracer(1 << 16)
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fail(exitUsage, err)
-			}
-			obsTracer.SetSink(f)
-		}
-		if *metricsAddr != "" {
-			var extra []obs.Endpoint
-			if teleHub != nil {
-				extra = teleHub.Endpoints()
-			}
-			srv, err := obs.Serve(*metricsAddr, obsReg, obsTracer, extra...)
-			if err != nil {
-				fail(exitUsage, err)
-			}
-			fmt.Fprintf(os.Stderr, "lpsgd-worker: observability plane on http://%s (/metrics, /debug/pprof, /trace)\n", srv.Addr())
-		}
+	plane, err := rf.Plane(*world)
+	if err != nil {
+		runflags.Fail(exitUsage, err)
 	}
 
 	cfg := cluster.Config{
 		Addr: *coordAddr, Rank: *rank, World: *world,
 		Accept: names, Timeout: *joinWait,
-		Tracer: obsTracer,
-		Health: health.Config{
-			Interval: *heartbeat,
-			Timeout:  *hbTimeout,
-			Disable:  *heartbeat == 0,
-		},
-		Elastic: elastic.Config{
-			Enable:       *rejoinWin > 0,
-			RejoinWindow: *rejoinWin,
-			MaxRejoins:   *maxRejoin,
-		},
+		Tracer:  plane.Tracer,
+		Health:  rf.HealthConfig(),
+		Elastic: rf.ElasticConfig(),
 	}
 
 	// Three ways into a session: rank 0 goes through the explicit
@@ -254,20 +195,20 @@ func main() {
 	switch {
 	case *rejoin:
 		if sess, snap, err = cluster.Rejoin(cfg); err != nil {
-			fail(exitRejoin, err)
+			runflags.Fail(exitRejoin, err)
 		}
 	case *rank == 0:
 		coord, err := cluster.NewCoordinator(cfg)
 		if err != nil {
-			fail(exitRendezvous, err)
+			runflags.Fail(exitRendezvous, err)
 		}
 		fmt.Printf("coordinator %s\n", coord.Addr())
 		if sess, err = coord.Join(); err != nil {
-			fail(exitRendezvous, err)
+			runflags.Fail(exitRendezvous, err)
 		}
 	default:
 		if sess, err = cluster.Join(cfg); err != nil {
-			fail(exitRendezvous, err)
+			runflags.Fail(exitRendezvous, err)
 		}
 	}
 	hbNote := "health plane off"
@@ -285,48 +226,40 @@ func main() {
 	fmt.Fprintf(os.Stderr, "lpsgd-worker: rank %d/%d %s, negotiated policy %s (%s)\n",
 		sess.Rank(), sess.World(), role, sess.PolicyName(), hbNote)
 
-	opts := []lpsgd.Option{
+	plane.SetPolicy(sess.PolicyName())
+	opts := append([]lpsgd.Option{
 		lpsgd.WithClusterSession(sess),
-		lpsgd.WithElastic(*maxRejoin, *rejoinWin),
-		lpsgd.WithStepDeadline(*stepWait),
-		lpsgd.WithBatchSize(*batch),
-		lpsgd.WithEpochs(*epochs),
-		lpsgd.WithLearningRate(float32(*lr)),
-		lpsgd.WithSeed(*seed),
-		lpsgd.WithMetrics(obsReg),
-		lpsgd.WithTracer(obsTracer),
-	}
-	if teleHub != nil {
-		teleHub.SetPolicy(sess.PolicyName())
-		opts = append(opts,
-			lpsgd.WithTelemetry(*teleEvery),
-			lpsgd.WithTelemetryObserver(teleHub.Observe),
-		)
-	}
+		lpsgd.WithElastic(rf.MaxRejoins, rf.RejoinWindow),
+		lpsgd.WithStepDeadline(rf.StepDeadline),
+		lpsgd.WithBatchSize(rf.Batch),
+		lpsgd.WithEpochs(rf.Epochs),
+		lpsgd.WithLearningRate(float32(rf.LR)),
+		lpsgd.WithSeed(rf.Seed),
+	}, plane.Options()...)
 	trainer, err := lpsgd.NewTrainer(model, opts...)
 	if err != nil {
 		sess.Close()
-		fail(exitInternal, err)
+		runflags.Fail(exitInternal, err)
 	}
 	if snap != nil {
 		if err := trainer.Restore(snap); err != nil {
 			trainer.Close()
-			fail(exitInternal, err)
+			runflags.Fail(exitInternal, err)
 		}
 	}
-	if *loadFrom != "" {
-		f, err := os.Open(*loadFrom)
+	if rf.Load != "" {
+		f, err := os.Open(rf.Load)
 		if err != nil {
 			trainer.Close()
-			fail(exitUsage, err)
+			runflags.Fail(exitUsage, err)
 		}
 		err = trainer.LoadCheckpoint(f)
 		f.Close()
 		if err != nil {
 			trainer.Close()
-			fail(exitUsage, fmt.Errorf("lpsgd-worker: load checkpoint: %w", err))
+			runflags.Fail(exitUsage, fmt.Errorf("lpsgd-worker: load checkpoint: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "lpsgd-worker: rank %d warm-started from %s\n", sess.Rank(), *loadFrom)
+		fmt.Fprintf(os.Stderr, "lpsgd-worker: rank %d warm-started from %s\n", sess.Rank(), rf.Load)
 	}
 
 	h, err := trainer.Run(train, test)
@@ -336,19 +269,19 @@ func main() {
 		// bye; after a death verdict the mesh is already aborted and
 		// Close is cheap.
 		trainer.Close()
-		obsTracer.Close()
-		fail(code, err)
+		plane.Close()
+		runflags.Fail(code, err)
 	}
 
 	var ckpt bytes.Buffer
 	if err := trainer.SaveCheckpoint(&ckpt); err != nil {
 		trainer.Close()
-		fail(exitInternal, err)
+		runflags.Fail(exitInternal, err)
 	}
-	if *saveTo != "" {
-		if err := os.WriteFile(*saveTo, ckpt.Bytes(), 0o644); err != nil {
+	if rf.Save != "" {
+		if err := os.WriteFile(rf.Save, ckpt.Bytes(), 0o644); err != nil {
 			trainer.Close()
-			fail(exitInternal, err)
+			runflags.Fail(exitInternal, err)
 		}
 	}
 	if s := trainer.StepStats(); s.Slowest >= 0 {
@@ -363,6 +296,6 @@ func main() {
 	// health plane's bye before the process vanishes, so peers still
 	// mid-shutdown see a departure, not a death.
 	trainer.Close()
-	obsTracer.Close()
+	plane.Close()
 	os.Exit(exitOK)
 }

@@ -54,13 +54,13 @@
 // the snapshots over the heartbeat control links, and
 // cluster.TelemetryHub aggregates them into /cluster/metrics and
 // /cluster/status for the cmd/lpsgd-top terminal dashboard),
-// and nn/tensor/data/rng (the deep-learning substrate). The experiment machinery stays under
-// internal/: workload (machine and network calibration data), harness
-// (one runner per table and figure) and lint (the project's static
-// analyzers, run as a vet tool via cmd/lpsgd-vet to machine-enforce
-// the wire-bound, sim-determinism, transport-error, goroutine-
-// lifecycle, observability-inertness and deprecation contracts); internal/simulate remains as a
-// deprecated shim over sim. See README.md for a quickstart and a tour;
-// the top-level bench_test.go regenerates every figure as a Go
-// benchmark.
+// and nn/tensor/data/rng (the deep-learning substrate). The experiment
+// machinery stays under internal/: workload (machine and network
+// calibration data), harness (one runner per table and figure),
+// runflags (the flag set lpsgd-train and lpsgd-worker share) and lint
+// (the project's static analyzers, run as a vet tool via
+// cmd/lpsgd-vet to machine-enforce the wire-bound, sim-determinism,
+// transport-error, goroutine-lifecycle and observability-inertness
+// contracts). See README.md for a quickstart and a tour; the top-level
+// bench_test.go regenerates every figure as a Go benchmark.
 package repro

@@ -23,10 +23,10 @@ import (
 )
 
 func main() {
-	// --- 1. Train with a named codec over the TCP transport. ---
+	// --- 1. Train with a named codec (a one-codec policy) over the TCP transport. ---
 	train, test := lpsgd.SyntheticImages(4, 384, 192, 7)
 	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 48, 4),
-		lpsgd.WithCodec("qsgd4b512"),
+		lpsgd.WithPolicy("qsgd4b512"),
 		lpsgd.WithWorkers(2),
 		lpsgd.WithTransport(lpsgd.TCP),
 		lpsgd.WithBatchSize(64),

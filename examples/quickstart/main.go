@@ -22,7 +22,7 @@ func main() {
 
 	run := func(codecName, label string) {
 		trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 48, 4),
-			lpsgd.WithCodec(codecName),
+			lpsgd.WithPolicy(codecName),
 			lpsgd.WithWorkers(4),
 			lpsgd.WithBatchSize(64),
 			lpsgd.WithEpochs(10),

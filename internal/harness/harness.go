@@ -58,6 +58,6 @@ func simRun(net workload.Network, m workload.Machine, prim sim.Primitive,
 		return sim.Result{}, err
 	}
 	return sim.Run(sim.Config{
-		Network: net, Machine: m, Primitive: prim, Codec: c, GPUs: gpus,
+		Network: net, Machine: m, Primitive: prim, Policy: quant.NewPolicy(c), GPUs: gpus,
 	})
 }

@@ -27,10 +27,9 @@
 //     receives from (the property the goroutine-leak-counting tests in
 //     PR 4 assert dynamically).
 //
-//   - nodeprecated: the deprecated shims — internal/simulate,
-//     quant.NewCodecPlan, the parallel.Config Codec/
-//     MinQuantisedFraction pair (PRs 3 and 6) — must not gain callers
-//     outside the shims themselves.
+//   - obsinert: arguments at obs instrumentation sites must not build
+//     strings per call, and registry series names must be constant, so
+//     a disabled observability plane costs nothing on the step.
 //
 // # Escape hatch
 //

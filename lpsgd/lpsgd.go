@@ -9,10 +9,8 @@
 //
 // The precision surface is the policy grammar (quant.ParsePolicy):
 // one string naming the base codec, the small-matrix exemption target,
-// and per-tensor pattern rules. WithPolicy is the primary option — a
-// bare codec name is a valid policy — and WithCodec /
-// WithMinQuantisedFraction are shorthands editing one component of the
-// same working policy:
+// and per-tensor pattern rules. WithPolicy is the one precision option
+// — a bare codec name is a valid policy:
 //
 //	trainer, err := lpsgd.NewTrainer(model,
 //	    lpsgd.WithPolicy("qsgd4b512;embedding=topk0.001;*.b=32bit"),
@@ -113,11 +111,7 @@ func (t Transport) String() string {
 
 // config accumulates options before they are handed to the engine.
 type config struct {
-	cfg parallel.Config
-	// policy is the working precision policy the codec-shaped options
-	// edit component-wise; nil means "never touched" and lets the
-	// engine default to full precision.
-	policy  *quant.Policy
+	cfg     parallel.Config
 	lr      float32
 	err     error
 	cluster *clusterJoin
@@ -125,15 +119,6 @@ type config struct {
 	// handler is the WithHealthHandler callback, registered on the
 	// session's monitor once one exists.
 	handler func(error)
-}
-
-// editPolicy returns the working policy, creating the default
-// (full-precision base, DefaultMinFrac, no rules) on first use.
-func (c *config) editPolicy() *quant.Policy {
-	if c.policy == nil {
-		c.policy = quant.NewPolicy(nil)
-	}
-	return c.policy
 }
 
 // clusterJoin is a pending or pre-established cluster membership.
@@ -158,11 +143,7 @@ type Option func(*config)
 //	lpsgd.WithPolicy("qsgd4b512;minfrac=0.95")             // tighter exemption
 //	lpsgd.WithPolicy("qsgd4b512;embedding=topk0.001;*.b=32bit")
 //
-// This is the primary precision option; WithCodec and
-// WithMinQuantisedFraction are shorthands that edit one component of
-// the same policy. WithPolicy replaces the whole working policy, so
-// codec-shaped options given before it are discarded and ones given
-// after it refine it.
+// Without it (or WithPolicyValue) gradients travel at full precision.
 func WithPolicy(name string) Option {
 	return func(c *config) {
 		p, err := quant.ParsePolicy(name)
@@ -170,14 +151,15 @@ func WithPolicy(name string) Option {
 			c.fail(err)
 			return
 		}
-		c.policy = p
+		c.cfg.Policy = p
 	}
 }
 
-// WithPolicyValue supplies an already-constructed policy. Like
-// WithCodecValue it validates at option-apply time that the policy
-// round-trips its own canonical name — the invariant cluster
-// negotiation and framed decoding depend on.
+// WithPolicyValue supplies an already-constructed policy. It validates
+// at option-apply time that the policy round-trips its own canonical
+// name — the invariant cluster negotiation and framed decoding depend
+// on, since that name is all a peer sees — so a hand-built policy
+// whose codecs the grammar cannot reconstruct is rejected here.
 func WithPolicyValue(p *quant.Policy) Option {
 	return func(c *config) {
 		if p == nil {
@@ -188,52 +170,10 @@ func WithPolicyValue(p *quant.Policy) Option {
 			c.fail(fmt.Errorf("lpsgd: %w", err))
 			return
 		}
-		// Later options (WithCodec, WithMinQuantisedFraction) edit the
-		// working policy; a copy keeps those edits off the caller's
-		// object.
+		// A copy keeps later edits of the caller's object from
+		// bypassing the validation.
 		cp := *p
-		c.policy = &cp
-	}
-}
-
-// WithCodec selects the gradient codec by name via quant.Parse
-// ("32bit", "qsgd4b512", "1bit*64", "topk0.01", ...). It edits the
-// base codec of the working policy, preserving any exemption target or
-// rules set by other options; WithPolicy subsumes it.
-func WithCodec(name string) Option {
-	return func(c *config) {
-		codec, err := quant.Parse(name)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.editPolicy().Base = codec
-	}
-}
-
-// WithCodecValue supplies an already-constructed codec as the working
-// policy's base. The codec's Name() must round-trip through quant.Parse
-// to the same canonical spelling — that name is what travels in frame
-// headers and cluster negotiation, so a codec that cannot be
-// reconstructed from it would decode wrongly (or not at all) on every
-// peer; such codecs are rejected here, at option-apply time.
-func WithCodecValue(codec quant.Codec) Option {
-	return func(c *config) {
-		if codec == nil {
-			c.fail(fmt.Errorf("lpsgd: nil codec"))
-			return
-		}
-		name := codec.Name()
-		rt, err := quant.Parse(name)
-		if err != nil {
-			c.fail(fmt.Errorf("lpsgd: codec name %q does not round-trip through quant.Parse (frames and negotiation could not reconstruct it): %w", name, err))
-			return
-		}
-		if rt.Name() != name {
-			c.fail(fmt.Errorf("lpsgd: codec name %q re-parses as %q; peers would reconstruct a different codec", name, rt.Name()))
-			return
-		}
-		c.editPolicy().Base = codec
+		c.cfg.Policy = &cp
 	}
 }
 
@@ -266,8 +206,8 @@ func WithPrimitive(p Primitive) Option {
 // and coordinates, other ranks dial in), negotiates the session's
 // precision policy with the peers, and returns a trainer that drives
 // only this rank — gradients cross process and machine boundaries over
-// the dialled TCP mesh. The negotiated policy overrides WithPolicy and
-// WithCodec (which still contribute to the advertised set; see
+// the dialled TCP mesh. The negotiated policy overrides WithPolicy
+// (which still contributes to the advertised set; see
 // WithAcceptedPolicies), and the world size overrides WithWorkers.
 // Every rank must use the same seed, schedule, batch size and model
 // builder, or the replicas will not stay bit-identical.
@@ -501,14 +441,6 @@ func WithAcceptedPolicies(names ...string) Option {
 	return func(c *config) { c.accept = names }
 }
 
-// WithAcceptedCodecs sets the accepted advertisement from codec names.
-//
-// Deprecated: use WithAcceptedPolicies — every codec name is a valid
-// policy string, so this is the same option under its old name.
-func WithAcceptedCodecs(names ...string) Option {
-	return WithAcceptedPolicies(names...)
-}
-
 // WithBatchSize sets the global minibatch size, sharded over workers.
 func WithBatchSize(n int) Option {
 	return func(c *config) { c.cfg.BatchSize = n }
@@ -555,24 +487,6 @@ func WithEvalEvery(n int) Option {
 	return func(c *config) { c.cfg.EvalEvery = n }
 }
 
-// WithMinQuantisedFraction sets the small-matrix exemption target
-// (default: the paper's 0.99): the plan picks the largest exemption
-// threshold that still quantises at least this fraction of the
-// parameters no policy rule claims. It must lie in (0, 1]; zero is
-// rejected rather than silently falling back to the default — to
-// disable quantisation entirely, use WithCodec("32bit"). It edits the
-// working policy's MinFrac; "minfrac=<f>" inside WithPolicy is the
-// same knob.
-func WithMinQuantisedFraction(f float64) Option {
-	return func(c *config) {
-		if !(f > 0 && f <= 1) {
-			c.fail(fmt.Errorf("lpsgd: min quantised fraction %v outside (0,1]; use WithCodec(\"32bit\") to disable quantisation", f))
-			return
-		}
-		c.editPolicy().MinFrac = f
-	}
-}
-
 func (c *config) fail(err error) {
 	if c.err == nil {
 		c.err = err
@@ -612,7 +526,6 @@ func NewTrainer(model BuildFunc, opts ...Option) (*Trainer, error) {
 	if c.cfg.Schedule == nil {
 		c.cfg.Schedule = nn.ConstantLR(c.lr)
 	}
-	c.cfg.Policy = c.policy
 	// A bare WithClusterTimeout without WithCluster/WithClusterSession
 	// names no cluster to join and is ignored.
 	if c.cluster != nil && (c.cluster.session != nil || c.cluster.addr != "") {
@@ -677,8 +590,8 @@ func (c *config) acceptedPolicies() []string {
 	if len(c.accept) > 0 {
 		return c.accept
 	}
-	if c.policy != nil {
-		return []string{c.policy.Name()}
+	if c.cfg.Policy != nil {
+		return []string{c.cfg.Policy.Name()}
 	}
 	return nil
 }

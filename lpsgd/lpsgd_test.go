@@ -13,13 +13,13 @@ import (
 )
 
 // TestPublicAPITrainsOverTCP: the acceptance path end to end — a codec
-// selected by name via quant.Parse, a trainer assembled purely from
+// selected by name as a one-codec policy, a trainer assembled purely from
 // functional options, gradients moving over real TCP sockets as
 // self-describing frames, and replicas staying in sync.
 func TestPublicAPITrainsOverTCP(t *testing.T) {
 	train, test := lpsgd.SyntheticImages(4, 256, 128, 42)
 	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 32, 4),
-		lpsgd.WithCodec("qsgd4b512"),
+		lpsgd.WithPolicy("qsgd4b512"),
 		lpsgd.WithWorkers(2),
 		lpsgd.WithTransport(lpsgd.TCP),
 		lpsgd.WithBatchSize(64),
@@ -49,7 +49,7 @@ func TestPublicAPITrainsOverTCP(t *testing.T) {
 // TestPublicAPIOptionsValidate: bad codec names and transports surface
 // as errors from NewTrainer, not panics at option time.
 func TestPublicAPIOptionsValidate(t *testing.T) {
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithCodec("qsgd3")); err == nil {
+	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicy("qsgd3")); err == nil {
 		t.Fatal("accepted an invalid codec name")
 	}
 	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithTransport(lpsgd.Transport(99))); err == nil {
@@ -58,12 +58,7 @@ func TestPublicAPIOptionsValidate(t *testing.T) {
 	if _, err := lpsgd.NewTrainer(nil); err == nil {
 		t.Fatal("accepted a nil model builder")
 	}
-	// Zero would otherwise be silently replaced by the 0.99 default in
-	// the engine; the facade must reject it instead.
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithMinQuantisedFraction(0)); err == nil {
-		t.Fatal("accepted a zero min quantised fraction")
-	}
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithCodec("topkNaN")); err == nil {
+	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicy("topkNaN")); err == nil {
 		t.Fatal("accepted a NaN topk density")
 	}
 	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicy("qsgd4b512;;")); err == nil {
@@ -78,7 +73,7 @@ func TestPublicAPIOptionsValidate(t *testing.T) {
 }
 
 // badNameCodec wraps a real codec under a name quant.Parse cannot
-// reconstruct — the misconfiguration WithCodecValue must reject.
+// reconstruct — the misconfiguration WithPolicyValue must reject.
 type badNameCodec struct{ quant.Codec }
 
 func (badNameCodec) Name() string { return "bespoke-house-codec" }
@@ -90,24 +85,26 @@ type aliasNameCodec struct{ quant.Codec }
 
 func (aliasNameCodec) Name() string { return "qsgd4" }
 
-// TestWithCodecValueValidatesRoundTrip: a custom codec whose Name()
-// does not round-trip through quant.Parse would silently break cluster
-// negotiation and framed decode; the option must fail instead.
-func TestWithCodecValueValidatesRoundTrip(t *testing.T) {
+// TestWithPolicyValueValidatesRoundTrip: a hand-built policy whose
+// codec names do not round-trip through the policy grammar would
+// silently break cluster negotiation and framed decode; the option must
+// fail instead.
+func TestWithPolicyValueValidatesRoundTrip(t *testing.T) {
 	base := quant.MustParse("qsgd8b512")
 	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4),
-		lpsgd.WithCodecValue(badNameCodec{base})); err == nil {
+		lpsgd.WithPolicyValue(quant.NewPolicy(badNameCodec{base}))); err == nil {
 		t.Fatal("accepted a codec whose name does not parse")
 	}
 	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4),
-		lpsgd.WithCodecValue(aliasNameCodec{base})); err == nil {
+		lpsgd.WithPolicyValue(quant.NewPolicy(aliasNameCodec{base}))); err == nil {
 		t.Fatal("accepted a codec whose name re-parses to a different canonical codec")
 	}
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithCodecValue(nil)); err == nil {
-		t.Fatal("accepted a nil codec")
+	ruled := &quant.Policy{Base: base, Rules: []quant.Rule{{Pattern: "dense*", Codec: badNameCodec{base}}}}
+	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicyValue(ruled)); err == nil {
+		t.Fatal("accepted a rule codec whose name does not parse")
 	}
 	// A well-behaved codec still passes.
-	tr, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithCodecValue(base), lpsgd.WithEpochs(1))
+	tr, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicyValue(quant.NewPolicy(base)), lpsgd.WithEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +114,20 @@ func TestWithCodecValueValidatesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPolicyOptionsCompose: WithCodec and WithMinQuantisedFraction edit
-// components of the same working policy, WithPolicy replaces it
-// wholesale, and the trainer's effective policy round-trips its name.
+// TestPolicyOptionsCompose: each precision option replaces the whole
+// working policy, so the last one given wins, and the trainer's
+// effective policy round-trips its name.
 func TestPolicyOptionsCompose(t *testing.T) {
 	tr, err := lpsgd.NewTrainer(lpsgd.MLP(64, 32, 4),
-		lpsgd.WithPolicy("qsgd4b512;dense1=32bit"),
-		lpsgd.WithMinQuantisedFraction(1),
-		lpsgd.WithCodec("qsgd8b512"),
+		lpsgd.WithPolicy("qsgd8b512;dense0=32bit"),
+		lpsgd.WithPolicyValue(quant.MustParsePolicy("qsgd4b512;minfrac=1;dense1=32bit")),
 		lpsgd.WithEpochs(1),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	const want = "qsgd8b512;minfrac=1;dense1=32bit"
+	const want = "qsgd4b512;minfrac=1;dense1=32bit"
 	if got := tr.Policy().Name(); got != want {
 		t.Fatalf("composed policy %q, want %q", got, want)
 	}
@@ -140,26 +136,27 @@ func TestPolicyOptionsCompose(t *testing.T) {
 	}
 }
 
-// TestWithPolicyValueDoesNotMutateCallerPolicy: later options edit a
-// copy of the supplied policy, never the caller's object — one policy
-// value may configure several trainers with different refinements.
+// TestWithPolicyValueDoesNotMutateCallerPolicy: the trainer works on a
+// copy of the supplied policy — filling the engine's defaults never
+// writes through the caller's pointer, and editing the caller's object
+// afterwards never reaches the trainer — so one policy value may
+// configure several trainers.
 func TestWithPolicyValueDoesNotMutateCallerPolicy(t *testing.T) {
-	p := quant.MustParsePolicy("qsgd4b512")
+	p := &quant.Policy{Base: quant.MustParse("qsgd4b512")} // MinFrac defaulted
 	tr, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4),
 		lpsgd.WithPolicyValue(p),
-		lpsgd.WithMinQuantisedFraction(0.5),
-		lpsgd.WithCodec("qsgd8b512"),
 		lpsgd.WithEpochs(1),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if got := tr.Policy().Name(); got != "qsgd8b512;minfrac=0.5" {
-		t.Fatalf("refined policy %q, want qsgd8b512;minfrac=0.5", got)
+	if p.MinFrac != 0 {
+		t.Fatalf("NewTrainer filled defaults into the caller's policy: %+v", p)
 	}
-	if p.Name() != "qsgd4b512" {
-		t.Fatalf("options mutated the caller's policy to %q", p.Name())
+	p.Base = quant.MustParse("qsgd8b512")
+	if got := tr.Policy().Name(); got != "qsgd4b512" {
+		t.Fatalf("effective policy %q after the caller edited its object, want qsgd4b512", got)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestSingleRankTrainersMatchInProcess(t *testing.T) {
 	train, test := blobData(t)
 	base := Config{
 		Workers:   k,
-		Codec:     quant.MustParse("qsgd4b512"),
+		Policy:    quant.NewPolicy(quant.MustParse("qsgd4b512")),
 		BatchSize: 24,
 		Epochs:    2,
 		Seed:      5,

@@ -47,9 +47,10 @@ func TestWireBytesMatchReducerPrediction(t *testing.T) {
 		quant.NewTopK(0.05),
 	} {
 		tr, err := NewTrainer(buildSmallCNN(), Config{
-			Workers: 4, Codec: codec, BatchSize: 32, Epochs: 1,
+			Workers: 4, BatchSize: 32, Epochs: 1,
 			Schedule: nn.ConstantLR(0.05), Seed: 12,
-			MinQuantisedFraction: 1, // quantise everything: exact arithmetic below
+			// Quantise everything: exact arithmetic below.
+			Policy: &quant.Policy{Base: codec, MinFrac: 1},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -82,9 +83,8 @@ func TestEngineBytesConsistentWithPlanArithmetic(t *testing.T) {
 	const k = 2
 	codec := quant.NewQSGD(8, 512, quant.MaxNorm)
 	tr, err := NewTrainer(buildSmallCNN(), Config{
-		Workers: k, Codec: codec, BatchSize: 16, Epochs: 1,
+		Workers: k, Policy: &quant.Policy{Base: codec, MinFrac: 1}, BatchSize: 16, Epochs: 1,
 		Schedule: nn.ConstantLR(0.05), Seed: 13,
-		MinQuantisedFraction: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestSimulatorAndEngineAgreeOnModelBytes(t *testing.T) {
 // paper's ≥99% small-matrix exemption on a real model.
 func TestQuantisedFractionMatchesPolicyOnRealModel(t *testing.T) {
 	tr, err := NewTrainer(buildSmallCNN(), Config{
-		Workers: 2, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+		Workers: 2, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 8, Epochs: 1, Schedule: nn.ConstantLR(0.05), Seed: 15,
 	})
 	if err != nil {

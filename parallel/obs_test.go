@@ -19,7 +19,7 @@ func obsRun(t *testing.T, tracer *obs.Tracer, metrics *obs.Registry, useTCP bool
 	t.Helper()
 	train, test := blobData(t)
 	cfg := Config{
-		Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+		Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 64, Epochs: 2,
 		Schedule: nn.ConstantLR(0.08), Momentum: 0.9, Seed: 5,
 		UseTCP:  useTCP,
@@ -127,7 +127,7 @@ func TestObsTCPByteParity(t *testing.T) {
 func TestStepStatsRaceHammer(t *testing.T) {
 	train, test := blobData(t)
 	cfg := Config{
-		Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+		Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 64, Epochs: 2,
 		Schedule: nn.ConstantLR(0.08), Momentum: 0.9, Seed: 5,
 		Tracer: obs.NewTracer(1024), Metrics: obs.NewRegistry(),
@@ -193,7 +193,7 @@ func benchStepTrainer(b *testing.B, tracer *obs.Tracer, metrics *obs.Registry) (
 	b.Helper()
 	train := benchData()
 	cfg := Config{
-		Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+		Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 64, Epochs: 1,
 		Schedule: nn.ConstantLR(0.08), Momentum: 0.9, Seed: 5,
 		Tracer: tracer, Metrics: metrics,

@@ -3,8 +3,7 @@
 // full model replica, computing gradients over its shard of the global
 // minibatch, and exchanging them through a communication primitive
 // under a precision policy (Config.Policy — per-tensor codecs via
-// quant.NewPlan; the deprecated Codec/MinQuantisedFraction pair is a
-// shim compiled into one).
+// quant.NewPlan).
 //
 // Workers are real goroutines moving real encoded bytes through
 // repro/comm; replicas stay bit-identical because every worker adopts
@@ -68,24 +67,11 @@ type Config struct {
 	Workers int
 	// Policy is the precision policy: base codec, small-matrix
 	// exemption target and per-tensor pattern rules (see quant.Policy
-	// and quant.ParsePolicy). Nil falls back to the deprecated
-	// Codec/MinQuantisedFraction pair, and to full precision when those
-	// are unset too.
+	// and quant.ParsePolicy). Nil means full precision; an unset Base
+	// or MinFrac defaults to full precision and the paper's 0.99.
 	Policy *quant.Policy
-	// Codec is the gradient codec (nil or quant.FP32{} for full
-	// precision).
-	//
-	// Deprecated: set Policy. When Policy is nil this field is compiled
-	// into one (together with MinQuantisedFraction); when Policy is set
-	// it is ignored.
-	Codec quant.Codec
 	// Primitive selects MPI reduce-and-broadcast or NCCL ring.
 	Primitive Primitive
-	// MinQuantisedFraction is the small-matrix exemption target
-	// (defaults to the paper's 0.99).
-	//
-	// Deprecated: set Policy.MinFrac. Ignored when Policy is set.
-	MinQuantisedFraction float64
 	// BatchSize is the global minibatch size, sharded over workers.
 	BatchSize int
 	// Epochs is the number of passes over the training set.
@@ -201,31 +187,19 @@ func (c *Config) fillDefaults() error {
 	if c.Epochs <= 0 {
 		return fmt.Errorf("parallel: Epochs must be positive")
 	}
-	if c.Codec == nil {
-		c.Codec = quant.FP32{}
-	}
-	if c.MinQuantisedFraction == 0 {
-		c.MinQuantisedFraction = quant.DefaultMinFrac
-	}
-	// The deprecated pair compiles into a Policy; an explicit Policy
-	// supersedes both. The mirror fields are kept coherent either way,
-	// so code reading History.Config keeps seeing the effective values.
 	// Defaults are filled into a copy, never through the caller's
 	// pointer: the same policy value may configure several trainers.
-	if c.Policy == nil {
-		c.Policy = &quant.Policy{Base: c.Codec, MinFrac: c.MinQuantisedFraction}
-	} else {
-		p := *c.Policy
-		if p.Base == nil {
-			p.Base = quant.FP32{}
-		}
-		if p.MinFrac <= 0 {
-			p.MinFrac = quant.DefaultMinFrac
-		}
-		c.Policy = &p
-		c.Codec = p.Base
-		c.MinQuantisedFraction = p.MinFrac
+	var p quant.Policy
+	if c.Policy != nil {
+		p = *c.Policy
 	}
+	if p.Base == nil {
+		p.Base = quant.FP32{}
+	}
+	if p.MinFrac <= 0 {
+		p.MinFrac = quant.DefaultMinFrac
+	}
+	c.Policy = &p
 	// No Name() round-trip validation here: the engine happily trains
 	// custom codecs whose names the quant grammar cannot spell (they
 	// only break where names cross a wire — the lpsgd facade and the
@@ -1094,6 +1068,8 @@ func (t *Trainer) runStep(train *data.Dataset, batch []int) (float64, error) {
 		loss float64
 		err  error
 	}
+	stepNo := t.currentStep() + 1
+	start := time.Now()
 	done := make(chan result, 1)
 	go func() {
 		loss, err := t.step(train, batch)
@@ -1111,6 +1087,15 @@ func (t *Trainer) runStep(train *data.Dataset, batch []int) (float64, error) {
 	}
 	select {
 	case r := <-done:
+		// The timer can fire after the step finished even though the
+		// deadline passed first (it is delivered asynchronously, and
+		// select picks at random between ready cases); an overrun step
+		// is a deadline expiry however that race resolves.
+		if deadline > 0 && time.Since(start) > deadline {
+			err := ErrStepDeadline{Rank: t.ranks[0], Step: stepNo, Deadline: deadline}
+			t.abortFabric(err)
+			return 0, err
+		}
 		if r.err != nil && t.monitor != nil && !errors.Is(r.err, comm.ErrClosed) {
 			// A dying peer's data sockets EOF at the same instant as its
 			// control links, so the raw transport error can beat the
@@ -1127,7 +1112,7 @@ func (t *Trainer) runStep(train *data.Dataset, batch []int) (float64, error) {
 		}
 		return r.loss, r.err
 	case <-expire:
-		err := ErrStepDeadline{Rank: t.ranks[0], Step: t.currentStep() + 1, Deadline: deadline}
+		err := ErrStepDeadline{Rank: t.ranks[0], Step: stepNo, Deadline: deadline}
 		// Join the step unconditionally: on an abortable fabric the
 		// teardown unwinds it promptly; on the in-process channel fabric
 		// (which cannot be interrupted) the exchange is still making

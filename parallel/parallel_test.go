@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func runConfig(t *testing.T, cfg Config) *History {
 		t.Fatal(err)
 	}
 	if !tr.ReplicasInSync() {
-		t.Fatalf("replicas diverged (codec=%v, prim=%v)", cfg.Codec, cfg.Primitive)
+		t.Fatalf("replicas diverged (policy=%v, prim=%v)", cfg.Policy.Name(), cfg.Primitive)
 	}
 	return h
 }
@@ -69,7 +70,7 @@ func TestQuantisedMatchesFullPrecision(t *testing.T) {
 		quant.NewQSGD(4, 512, quant.MaxNorm),
 		quant.NewQSGD(8, 512, quant.MaxNorm),
 	} {
-		h := runConfig(t, Config{Workers: 4, Codec: c})
+		h := runConfig(t, Config{Workers: 4, Policy: quant.NewPolicy(c)})
 		if h.FinalAccuracy < base.FinalAccuracy-0.05 {
 			t.Errorf("%s accuracy %v vs fp32 %v — more than 5 points behind",
 				c.Name(), h.FinalAccuracy, base.FinalAccuracy)
@@ -78,28 +79,39 @@ func TestQuantisedMatchesFullPrecision(t *testing.T) {
 }
 
 func TestClassicOneBitTrains(t *testing.T) {
-	h := runConfig(t, Config{Workers: 2, Codec: quant.OneBit{}})
+	h := runConfig(t, Config{Workers: 2, Policy: quant.NewPolicy(quant.OneBit{})})
 	if h.FinalAccuracy < 0.8 {
 		t.Fatalf("classic 1bit accuracy %v", h.FinalAccuracy)
 	}
 }
 
+// TestNCCLQuantisedUsesSimulatedRing covers a stateless codec and the
+// residual-carrying reshaped 1bitSGD* over the simulated ring.
 func TestNCCLQuantisedUsesSimulatedRing(t *testing.T) {
 	train, test := blobData(t)
-	cfg := Config{
-		Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
-		Primitive: NCCL, BatchSize: 64, Epochs: 2,
-		Schedule: nn.ConstantLR(0.05), Momentum: 0.9, Seed: 5,
-	}
-	tr, err := NewTrainer(buildMLP(36, 4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Reducer().Name() != "nccl-ring-sim" {
-		t.Fatalf("expected simulated ring, got %s", tr.Reducer().Name())
-	}
-	if _, err := tr.Run(train, test); err != nil {
-		t.Fatal(err)
+	for _, c := range []quant.Codec{
+		quant.NewQSGD(4, 512, quant.MaxNorm),
+		quant.NewOneBitReshaped(64),
+	} {
+		cfg := Config{
+			Workers: 4, Policy: quant.NewPolicy(c),
+			Primitive: NCCL, BatchSize: 64, Epochs: 2,
+			Schedule: nn.ConstantLR(0.05), Momentum: 0.9, Seed: 5,
+		}
+		tr, err := NewTrainer(buildMLP(36, 4), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Reducer().Name() != "nccl-ring-sim" {
+			t.Fatalf("%s: expected simulated ring, got %s", c.Name(), tr.Reducer().Name())
+		}
+		h, err := tr.Run(train, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(h.Epochs) != 2 || !tr.ReplicasInSync() {
+			t.Fatalf("%s: %d epochs recorded, replicas in sync %v", c.Name(), len(h.Epochs), tr.ReplicasInSync())
+		}
 	}
 }
 
@@ -117,7 +129,7 @@ func TestNCCLFullPrecisionUsesRing(t *testing.T) {
 
 func TestQuantisedMovesFewerBytes(t *testing.T) {
 	fp := runConfig(t, Config{Workers: 4})
-	q4 := runConfig(t, Config{Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm)})
+	q4 := runConfig(t, Config{Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm))})
 	if q4.TotalWireBytes >= fp.TotalWireBytes {
 		t.Fatalf("4-bit moved %d bytes, fp32 moved %d", q4.TotalWireBytes, fp.TotalWireBytes)
 	}
@@ -138,8 +150,8 @@ func TestSingleWorker(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	a := runConfig(t, Config{Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm)})
-	b := runConfig(t, Config{Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm)})
+	a := runConfig(t, Config{Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm))})
+	b := runConfig(t, Config{Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm))})
 	if a.FinalAccuracy != b.FinalAccuracy {
 		t.Fatalf("accuracy differs across identical runs: %v vs %v",
 			a.FinalAccuracy, b.FinalAccuracy)
@@ -179,7 +191,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPlanExposed(t *testing.T) {
-	cfg := Config{Workers: 2, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+	cfg := Config{Workers: 2, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 8, Epochs: 1, Seed: 1}
 	tr, err := NewTrainer(buildMLP(36, 4), cfg)
 	if err != nil {
@@ -191,7 +203,7 @@ func TestPlanExposed(t *testing.T) {
 }
 
 func TestHistoryRecordsWireGrowth(t *testing.T) {
-	h := runConfig(t, Config{Workers: 2, Codec: quant.NewQSGD(8, 512, quant.MaxNorm)})
+	h := runConfig(t, Config{Workers: 2, Policy: quant.NewPolicy(quant.NewQSGD(8, 512, quant.MaxNorm))})
 	var prev int64 = -1
 	for _, e := range h.Epochs {
 		if e.WireBytes < prev {
@@ -205,7 +217,7 @@ func TestHistoryRecordsWireGrowth(t *testing.T) {
 }
 
 func TestTop5AtLeastTop1(t *testing.T) {
-	h := runConfig(t, Config{Workers: 2, Codec: quant.NewQSGD(4, 512, quant.MaxNorm)})
+	h := runConfig(t, Config{Workers: 2, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm))})
 	for _, e := range h.Epochs {
 		if e.TestAccuracy < 0 {
 			continue
@@ -276,8 +288,8 @@ func TestTrainingOverTCPFabric(t *testing.T) {
 	// transport-independent). The byte volumes differ only by the
 	// self-describing frame headers the TCP path adds: payload bytes are
 	// identical, and the per-message overhead is the frame header size.
-	overChan := runConfig(t, Config{Workers: 2, Codec: quant.NewQSGD(4, 512, quant.MaxNorm)})
-	overTCP := runConfig(t, Config{Workers: 2, Codec: quant.NewQSGD(4, 512, quant.MaxNorm), UseTCP: true})
+	overChan := runConfig(t, Config{Workers: 2, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm))})
+	overTCP := runConfig(t, Config{Workers: 2, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), UseTCP: true})
 	if overChan.FinalAccuracy != overTCP.FinalAccuracy {
 		t.Fatalf("transport changed results: %v vs %v",
 			overChan.FinalAccuracy, overTCP.FinalAccuracy)
@@ -300,7 +312,7 @@ func TestNCCLRejectsExpandingCodec(t *testing.T) {
 	}
 	_, err := NewTrainer(build, Config{
 		Workers: 2, BatchSize: 64, Epochs: 1,
-		Codec: quant.OneBit{}, Primitive: NCCL,
+		Policy: quant.NewPolicy(quant.OneBit{}), Primitive: NCCL,
 	})
 	if err == nil {
 		t.Fatal("expected an error for an expanding codec under NCCL")
@@ -311,52 +323,10 @@ func TestNCCLRejectsExpandingCodec(t *testing.T) {
 }
 
 func TestClipNormKeepsReplicasInSync(t *testing.T) {
-	h := runConfig(t, Config{Workers: 3, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+	h := runConfig(t, Config{Workers: 3, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		ClipNorm: 0.5})
 	if h.FinalAccuracy < 0.7 {
 		t.Fatalf("clipped training accuracy %v", h.FinalAccuracy)
-	}
-}
-
-// TestDeprecatedCodecFieldsCompileIntoPolicy: the old Config pair
-// (Codec, MinQuantisedFraction) must behave exactly as the policy it is
-// shorthand for, and an explicit Policy must supersede both.
-func TestDeprecatedCodecFieldsCompileIntoPolicy(t *testing.T) {
-	tr, err := NewTrainer(buildMLP(36, 4), Config{
-		Workers: 2, BatchSize: 8, Epochs: 1,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), MinQuantisedFraction: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if got := tr.Policy().Name(); got != "qsgd4b512;minfrac=1" {
-		t.Fatalf("shim compiled to policy %q, want qsgd4b512;minfrac=1", got)
-	}
-
-	tr2, err := NewTrainer(buildMLP(36, 4), Config{
-		Workers: 2, BatchSize: 8, Epochs: 1,
-		Policy: quant.MustParsePolicy("qsgd8b512;d3=32bit"),
-		Codec:  quant.OneBit{}, // ignored: Policy wins
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr2.Close()
-	if got := tr2.Policy().Name(); got != "qsgd8b512;d3=32bit" {
-		t.Fatalf("explicit policy lost to the deprecated codec: %q", got)
-	}
-	// The d3 rule claims both d3.W and d3.b (layer-prefix match);
-	// everything else follows the base with the default exemption.
-	plan := tr2.Plan()
-	infos := buildMLP(36, 4)(rng.New(1)).TensorInfos()
-	for i, ti := range infos {
-		if !strings.HasPrefix(ti.Name, "d3.") {
-			continue
-		}
-		if got := plan.CodecFor(i).Name(); got != "32bit" {
-			t.Errorf("tensor %s carried by %s, want the d3 rule's 32bit", ti.Name, got)
-		}
 	}
 }
 
@@ -414,8 +384,45 @@ func (unnameableCodec) Name() string { return "my-experimental-codec" }
 // it did before policies existed.
 func TestCustomCodecTrainsInProcess(t *testing.T) {
 	h := runConfig(t, Config{Workers: 2,
-		Codec: unnameableCodec{quant.NewQSGD(8, 512, quant.MaxNorm)}})
+		Policy: quant.NewPolicy(unnameableCodec{quant.NewQSGD(8, 512, quant.MaxNorm)})})
 	if h.FinalAccuracy < 0.7 {
 		t.Fatalf("custom-codec training accuracy %v", h.FinalAccuracy)
+	}
+}
+
+// TestSessionCheckpointRoundtrip: save after training, load into a
+// fresh trainer of the same configuration, and the fresh trainer must
+// evaluate identically without training, with its replicas in sync.
+func TestSessionCheckpointRoundtrip(t *testing.T) {
+	train, test := blobData(t)
+	cfg := Config{
+		Workers: 2, Policy: quant.NewPolicy(quant.NewQSGD(8, 512, quant.MaxNorm)),
+		BatchSize: 32, Epochs: 3, Schedule: nn.ConstantLR(0.1), Momentum: 0.9, Seed: 21,
+	}
+	t1, err := NewTrainer(buildMLP(36, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+	if _, err := t1.Run(train, test); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := t1.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	t2, err := NewTrainer(buildMLP(36, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2.Close()
+	if err := t2.LoadCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if a1, a2 := t1.Evaluate(test), t2.Evaluate(test); a1 != a2 {
+		t.Fatalf("checkpointed model evaluates differently: %v vs %v", a1, a2)
+	}
+	if !t2.ReplicasInSync() {
+		t.Fatal("LoadCheckpoint broke replica sync")
 	}
 }

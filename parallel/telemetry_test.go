@@ -16,7 +16,7 @@ func teleRun(t *testing.T, every int, metrics *obs.Registry, useTCP bool) ([]byt
 	t.Helper()
 	train, test := blobData(t)
 	cfg := Config{
-		Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+		Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 64, Epochs: 2,
 		Schedule: nn.ConstantLR(0.08), Momentum: 0.9, Seed: 5,
 		UseTCP:         useTCP,
@@ -133,7 +133,7 @@ func benchTelemetryTrainer(b *testing.B, every int) (*Trainer, []int, *data.Data
 	b.Helper()
 	train := benchData()
 	cfg := Config{
-		Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+		Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 64, Epochs: 1,
 		Schedule: nn.ConstantLR(0.08), Momentum: 0.9, Seed: 5,
 		Metrics:        obs.NewRegistry(),

@@ -7,10 +7,10 @@
 //
 // Every codec produces a real, bit-packed wire format whose exact byte
 // length is exposed through EncodedBytes. The communication layer
-// (internal/comm) moves these bytes, and the performance simulator
-// (internal/simulate) prices them; both therefore agree byte-for-byte on
-// what low precision costs — which is the crux of the paper's
-// performance study.
+// (comm) moves these bytes, and the performance simulator (sim)
+// prices them; both therefore agree byte-for-byte on what low
+// precision costs — which is the crux of the paper's performance
+// study.
 //
 // # Quantisation groups
 //

@@ -36,13 +36,12 @@ repro/examples/publicapi
 repro/examples/quickstart
 repro/examples/speechlstm
 repro/health
-repro/internal/core
 repro/internal/lint
 repro/internal/lint/analysis
 repro/internal/lint/analysistest
 repro/internal/lint/driver
 repro/internal/report
-repro/internal/simulate
+repro/internal/runflags
 repro/internal/workload
 repro/lpsgd
 repro/nn

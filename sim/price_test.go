@@ -79,7 +79,7 @@ func TestCalibrationAgainstFigure10(t *testing.T) {
 				continue
 			}
 			r := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
-				Primitive: MPI, Codec: codecByPrecision(t, row.Precision, row.Bucket), GPUs: k})
+				Primitive: MPI, Policy: quant.NewPolicy(codecByPrecision(t, row.Precision, row.Bucket)), GPUs: k})
 			ratio := r.SamplesPerSec / paper
 			ratios = append(ratios, ratio)
 			if ratio < 0.5 || ratio > 2.1 {
@@ -110,7 +110,7 @@ func TestCalibrationAgainstFigure11(t *testing.T) {
 				continue
 			}
 			r := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
-				Primitive: NCCL, Codec: codecByPrecision(t, row.Precision, row.Bucket), GPUs: k})
+				Primitive: NCCL, Policy: quant.NewPolicy(codecByPrecision(t, row.Precision, row.Bucket)), GPUs: k})
 			if ratio := r.SamplesPerSec / paper; ratio < 0.5 || ratio > 2.0 {
 				t.Errorf("%s %s @%d: NCCL ratio %.2f outside [0.5, 2.0]",
 					row.Network, row.Precision, k, ratio)
@@ -126,7 +126,7 @@ func TestCalibrationAgainstFigure11(t *testing.T) {
 func TestClaimMPIQuantisationSpeedsUpAlexNet(t *testing.T) {
 	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
 	q4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	speedup := q4.SamplesPerSec / fp.SamplesPerSec
 	if speedup < 2.5 || speedup > 4.5 {
 		t.Errorf("AlexNet MPI 4-bit speedup %.2f, paper shows ≈3.5", speedup)
@@ -137,7 +137,7 @@ func TestClaimMPIQuantisationSpeedsUpAlexNet(t *testing.T) {
 func TestClaimCommunicationReduction(t *testing.T) {
 	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
 	q4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	red := fp.CommSec / q4.CommSec
 	if red < 4 || red > 9 {
 		t.Errorf("communication reduction %.1f×, paper reports ≈5×", red)
@@ -149,7 +149,7 @@ func TestClaimCommunicationReduction(t *testing.T) {
 func TestClaimComputationDominatedNetworksGainLittle(t *testing.T) {
 	fp := mustRun(t, Config{Network: workload.BNInception, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
 	q4 := mustRun(t, Config{Network: workload.BNInception, Machine: workload.EC2P2, Primitive: MPI,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if speedup := q4.SamplesPerSec / fp.SamplesPerSec; speedup > 1.5 {
 		t.Errorf("BN-Inception MPI speedup %.2f, paper shows ≈1.3", speedup)
 	}
@@ -160,7 +160,7 @@ func TestClaimComputationDominatedNetworksGainLittle(t *testing.T) {
 func TestClaimNCCLFullPrecisionBeatsMPILowPrecision(t *testing.T) {
 	nccl32 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
 	mpiQ4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if nccl32.SamplesPerSec <= mpiQ4.SamplesPerSec {
 		t.Errorf("NCCL 32-bit (%.0f) should beat MPI 4-bit (%.0f) on AlexNet@8",
 			nccl32.SamplesPerSec, mpiQ4.SamplesPerSec)
@@ -173,14 +173,14 @@ func TestClaimNCCLQuantisationGainsAreSmall(t *testing.T) {
 	for _, net := range []workload.Network{workload.ResNet50, workload.ResNet152, workload.BNInception} {
 		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
 		q4 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: NCCL,
-			Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+			Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 		if speedup := q4.SamplesPerSec / fp.SamplesPerSec; speedup > 1.25 {
 			t.Errorf("%s NCCL speedup %.2f — paper calls these negligible", net.Name, speedup)
 		}
 	}
 	fp := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
 	q4 := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: NCCL,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if speedup := q4.SamplesPerSec / fp.SamplesPerSec; speedup < 1.05 || speedup > 1.6 {
 		t.Errorf("VGG19 NCCL speedup %.2f, paper shows 1.1–1.5×", speedup)
 	}
@@ -192,9 +192,9 @@ func TestClaimClassicOneBitSlowerOnConvNets(t *testing.T) {
 	for _, net := range []workload.Network{workload.ResNet50, workload.ResNet152, workload.BNInception} {
 		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
 		classic := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI,
-			Codec: quant.OneBit{}, GPUs: 8})
+			Policy: quant.NewPolicy(quant.OneBit{}), GPUs: 8})
 		reshaped := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI,
-			Codec: quant.NewOneBitReshaped(64), GPUs: 8})
+			Policy: quant.NewPolicy(quant.NewOneBitReshaped(64)), GPUs: 8})
 		if classic.SamplesPerSec >= fp.SamplesPerSec {
 			t.Errorf("%s: classic 1bit (%.0f) should be slower than fp32 (%.0f)",
 				net.Name, classic.SamplesPerSec, fp.SamplesPerSec)
@@ -212,7 +212,7 @@ func TestClaimClassicOneBitSlowerOnConvNets(t *testing.T) {
 func TestClaimClassicOneBitFastOnAlexNet(t *testing.T) {
 	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
 	classic := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI,
-		Codec: quant.OneBit{}, GPUs: 8})
+		Policy: quant.NewPolicy(quant.OneBit{}), GPUs: 8})
 	if classic.SamplesPerSec < 2*fp.SamplesPerSec {
 		t.Errorf("AlexNet classic 1bit (%.0f) should be ≥2× fp32 (%.0f)",
 			classic.SamplesPerSec, fp.SamplesPerSec)
@@ -224,9 +224,9 @@ func TestClaimClassicOneBitFastOnAlexNet(t *testing.T) {
 func TestClaimDiminishingReturnsBelow4Bit(t *testing.T) {
 	for _, net := range workload.PerformanceNetworks() {
 		q4 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI,
-			Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+			Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 		q2 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI,
-			Codec: quant.NewQSGD(2, 128, quant.MaxNorm), GPUs: 8})
+			Policy: quant.NewPolicy(quant.NewQSGD(2, 128, quant.MaxNorm)), GPUs: 8})
 		if gain := q2.SamplesPerSec / q4.SamplesPerSec; gain > 1.25 {
 			t.Errorf("%s: 2-bit over 4-bit gain %.2f — paper reports diminishing returns", net.Name, gain)
 		}
@@ -258,7 +258,7 @@ func TestClaim16GPUsRarelyWorthIt(t *testing.T) {
 func TestClaimDGXBehaviour(t *testing.T) {
 	fpMPI := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: MPI, GPUs: 8})
 	q4MPI := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: MPI,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	// The paper reports "up to 5×"; an additive cost model caps the
 	// gain at (compute+comm)/compute ≈ 3.5, so we assert a substantial
 	// but not full reproduction (see internal/harness/claims.go).
@@ -267,7 +267,7 @@ func TestClaimDGXBehaviour(t *testing.T) {
 	}
 	fpN := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: NCCL, GPUs: 8})
 	q4N := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: NCCL,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: 8})
+		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if speedup := q4N.SamplesPerSec / fpN.SamplesPerSec; speedup < 1.05 || speedup > 1.8 {
 		t.Errorf("DGX VGG19 NCCL speedup %.2f, paper shows ≈1.6×", speedup)
 	}
@@ -303,7 +303,7 @@ func TestClaimSpeedupGrowsWithModelSizeRatio(t *testing.T) {
 		net := WithDummyParams(workload.AlexNet, extra)
 		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
 		q8 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: NCCL,
-			Codec: quant.NewQSGD(8, 512, quant.MaxNorm), GPUs: 8})
+			Policy: quant.NewPolicy(quant.NewQSGD(8, 512, quant.MaxNorm)), GPUs: 8})
 		speedup := q8.SamplesPerSec / fp.SamplesPerSec
 		if i == 0 {
 			first = speedup
@@ -398,7 +398,7 @@ func TestOverlapReducesIterTime(t *testing.T) {
 // cost model (its index overhead shows in the wire bytes).
 func TestTopKInSimulator(t *testing.T) {
 	r := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, Codec: quant.NewTopK(0.01), GPUs: 8})
+		Primitive: MPI, Policy: quant.NewPolicy(quant.NewTopK(0.01)), GPUs: 8})
 	ratio := float64(r.RawBytes) / float64(r.WireBytes)
 	if ratio < 40 || ratio > 60 {
 		t.Fatalf("top-k 1%% whole-model ratio %.1f, want ≈50 (index overhead)", ratio)
@@ -503,17 +503,16 @@ func TestFramedSimulatedVolumeMatchesMeasuredTCP(t *testing.T) {
 	}
 }
 
-// TestPolicyPlumbedThroughSimulator: the deprecated Codec field and an
-// equivalent Policy must price identically, and the exemption target is
-// the caller's, not a hardcoded 0.99.
+// TestPolicyPlumbedThroughSimulator: a wrapped codec and the parsed
+// policy of the same name must price identically, and the exemption
+// target is the caller's, not a hardcoded 0.99.
 func TestPolicyPlumbedThroughSimulator(t *testing.T) {
-	codec := quant.NewQSGD(4, 512, quant.MaxNorm)
 	viaCodec := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, Codec: codec, GPUs: 8})
+		Primitive: MPI, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	viaPolicy := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, Policy: quant.NewPolicy(codec), GPUs: 8})
+		Primitive: MPI, Policy: quant.MustParsePolicy("qsgd4b512"), GPUs: 8})
 	if viaCodec.WireBytes != viaPolicy.WireBytes || viaCodec.ExchangeBytes != viaPolicy.ExchangeBytes {
-		t.Fatalf("codec shim (%d/%d) and default policy (%d/%d) priced differently",
+		t.Fatalf("wrapped codec (%d/%d) and parsed policy (%d/%d) priced differently",
 			viaCodec.WireBytes, viaCodec.ExchangeBytes, viaPolicy.WireBytes, viaPolicy.ExchangeBytes)
 	}
 	if viaPolicy.Codec != "qsgd4b512" {
