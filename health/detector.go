@@ -13,14 +13,17 @@ import (
 // Every heartbeat arrival feeds the observed inter-arrival distribution
 // (mean and variance over a sliding window). Suspicion is then a
 // continuous quantity: phi(t) = -log10 P(a heartbeat arrives later than
-// t | history). A peer whose heartbeats were metronomic is suspected
-// after a short silence (phi crosses the threshold quickly, well before
-// the hard deadline); a peer on a jittery link earns slack
-// proportional to its own jitter. Until enough samples exist — and as
-// the final word regardless of what the statistics say — the hard
-// deadline applies: silence of Timeout is death, full stop. The
-// deadline is what the cluster's abort latency guarantee is stated
-// against; phi only ever accelerates the verdict.
+// t | history). As in Akka, the expected arrival is the mean gap plus
+// an acceptable pause of a few mean gaps, and the standard deviation is
+// floored at a fraction of the mean: a momentarily descheduled sender
+// or reader on a loaded host is not a death. A peer whose heartbeats
+// were metronomic is suspected after a short silence (about five
+// intervals, well before the default eight-interval deadline); a peer
+// on a jittery link earns slack proportional to its own jitter. Until
+// enough samples exist — and as the final word regardless of what the
+// statistics say — the hard deadline applies: silence of Timeout is
+// death, full stop. The deadline is what the cluster's abort latency
+// guarantee is stated against; phi only ever accelerates the verdict.
 type Detector struct {
 	mu sync.Mutex
 	// timeout is the hard silence deadline.
@@ -47,6 +50,12 @@ const (
 	// perfectly regular heartbeat stream (common on loopback) does not
 	// make phi explode on microseconds of scheduler noise.
 	minStdDev = 2e-3 // seconds
+	// minStdDevOfMean floors the standard deviation relative to the
+	// mean gap, for the same reason at any heartbeat interval.
+	minStdDevOfMean = 0.1
+	// pauseIntervals is the acceptable heartbeat pause, in mean gaps,
+	// added to the expected arrival before suspicion accrues.
+	pauseIntervals = 3
 )
 
 // NewDetector builds a detector with the given hard deadline and phi
@@ -122,14 +131,12 @@ func (d *Detector) phiLocked(elapsed time.Duration) float64 {
 	if variance < 0 {
 		variance = 0
 	}
-	std := math.Sqrt(variance)
-	if std < minStdDev {
-		std = minStdDev
-	}
-	y := (elapsed.Seconds() - mean) / std
+	std := math.Max(math.Sqrt(variance), math.Max(minStdDev, minStdDevOfMean*mean))
+	expected := mean * (1 + pauseIntervals)
+	y := (elapsed.Seconds() - expected) / std
 	x := y * (1.5976 + 0.070566*y*y)
 	e := math.Exp(-x)
-	if elapsed.Seconds() > mean {
+	if elapsed.Seconds() > expected {
 		// -log10(e/(1+e)) = log10(1+1/e); once e underflows to zero the
 		// closed form keeps phi finite and strictly increasing.
 		if e == 0 {

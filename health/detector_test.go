@@ -58,6 +58,21 @@ func TestDetectorPhiAcceleratesPastDeadline(t *testing.T) {
 	}
 }
 
+func TestDetectorToleratesSchedulingPause(t *testing.T) {
+	start := time.Unix(1000, 0)
+	const gap = 100 * time.Millisecond
+	d := NewDetector(time.Hour, DefaultPhi, start)
+	last := feed(d, start, gap, 50)
+	// A metronomic peer whose next ping is held up by a few intervals —
+	// a descheduled sender or reader on a loaded host — is not dead.
+	if d.Suspect(last.Add(3 * gap)) {
+		t.Fatal("metronomic peer suspected after a three-interval pause")
+	}
+	if !d.Suspect(last.Add(6 * gap)) {
+		t.Fatal("metronomic peer not suspected after a six-interval silence")
+	}
+}
+
 func TestDetectorJitterEarnsSlack(t *testing.T) {
 	start := time.Unix(1000, 0)
 	steady := NewDetector(time.Hour, DefaultPhi, start)

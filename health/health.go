@@ -28,6 +28,7 @@
 package health
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -477,7 +478,10 @@ func (m *Monitor) write(l *link, buf []byte) bool {
 // and the report table, an abort adopts the broadcast verdict, a bye
 // marks the peer cleanly departed, and an unexpected stream error is
 // itself an immediate death verdict (a SIGKILLed process closes its
-// sockets long before any silence deadline fires).
+// sockets long before any silence deadline fires). Only the peer's end
+// going away is evidence against the peer: a read failing because this
+// rank's own end was closed under it says nothing about the peer, and
+// a verdict from it would broadcast a live rank's death.
 func (m *Monitor) readLoop(peer int, l *link) {
 	defer m.wg.Done()
 	for {
@@ -487,7 +491,7 @@ func (m *Monitor) readLoop(peer int, l *link) {
 			closing := m.closing
 			gone := m.departed[peer]
 			m.mu.Unlock()
-			if closing || gone {
+			if closing || gone || errors.Is(err, net.ErrClosed) {
 				return
 			}
 			m.declareDead(peer, l.det.LastSeen())
@@ -530,7 +534,12 @@ func (m *Monitor) readLoop(peer int, l *link) {
 }
 
 // checkLoop sweeps the detectors. The sweep period divides the hard
-// deadline so a silent peer is declared within Timeout plus one sweep.
+// deadline so a silent peer is declared within Timeout plus one sweep,
+// or two when this process itself stalled: a sweep that runs more than
+// two periods late means the process was not scheduled, and the pings
+// that arrived meanwhile may still sit unread in the sockets, so the
+// silence it would measure is partly its own. One such sweep is
+// skipped and the next, punctual one judges.
 func (m *Monitor) checkLoop() {
 	defer m.wg.Done()
 	period := m.cfg.Interval
@@ -539,6 +548,7 @@ func (m *Monitor) checkLoop() {
 	}
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
+	prev, skipped := time.Now(), false
 	for {
 		select {
 		case <-m.stop:
@@ -548,6 +558,13 @@ func (m *Monitor) checkLoop() {
 		case <-ticker.C:
 		}
 		now := time.Now()
+		late := now.Sub(prev) > 2*period
+		prev = now
+		if late && !skipped {
+			skipped = true
+			continue
+		}
+		skipped = false
 		for p, l := range m.links {
 			if l == nil {
 				continue

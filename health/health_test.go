@@ -319,8 +319,13 @@ func TestMonitorStepReportPiggyback(t *testing.T) {
 	if !ok || rank != 0 || rep != slow {
 		t.Fatalf("straggler = (%d, %+v, %v), want rank 0 with %+v", rank, rep, ok, slow)
 	}
-	if ms[0].ControlBytes() == 0 {
-		t.Fatal("control-plane bytes unaccounted")
+	// The sender counts a ping once its Write returns, which can be
+	// after the peer has already read it: wait for the count, bounded.
+	for ms[0].ControlBytes() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("control-plane bytes unaccounted")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

