@@ -24,8 +24,9 @@
 //     from a deployed one.
 //
 // The result is a Session: rank, world size, negotiated policy and a
-// ready Transport. repro/lpsgd exposes it as
-// lpsgd.WithCluster(addr, rank, world), and cmd/lpsgd-worker is the
+// ready Transport. Join (or NewCoordinator then Coordinator.Join on
+// rank 0) is the one way into a session; repro/lpsgd trains over it
+// through lpsgd.WithClusterSession, and cmd/lpsgd-worker is the
 // process you actually launch.
 package cluster
 
@@ -138,35 +139,32 @@ func (c Config) validate() error {
 // place, and brokers the state transfer that lets a replacement take
 // the dead rank's slot.
 type Session struct {
-	rank, world int
-	policyName  string
-	policy      *quant.Policy
-	fabric      *comm.RemoteFabric
-	monitor     *health.Monitor
-	peers       []string
+	// cfg is this rank's own configuration. Its Addr is the resolved
+	// rendezvous address every rank can re-dial (rank 0 re-listens on
+	// it for a rejoin round).
+	cfg Config
 
-	// Rejoin context: the resolved rendezvous address every rank can
-	// re-dial (rank 0 re-listens on it), the session's resolved health
-	// and elastic settings, the advertised accept set, and the
-	// completed rejoin-round count. fabric/monitor/peers/generation are
-	// replaced by Rejoin, which runs on the rank's training goroutine;
-	// the accessors are not synchronised against it.
-	rendAddr   string
+	// The coordinator-governed state the latest welcome broadcast, and
+	// the plane standing on it. Rejoin replaces it in place on the
+	// rank's training goroutine; the accessors are not synchronised
+	// against it.
+	policy     *quant.Policy
 	hb         health.Config
 	el         elastic.Config
-	accepts    []string
+	fabric     *comm.RemoteFabric
+	monitor    *health.Monitor
+	peers      []string
 	generation int
-	tracer     *obs.Tracer
 }
 
 // Rank returns this process's rank.
-func (s *Session) Rank() int { return s.rank }
+func (s *Session) Rank() int { return s.cfg.Rank }
 
 // World returns the number of worker processes.
-func (s *Session) World() int { return s.world }
+func (s *Session) World() int { return s.cfg.World }
 
 // PolicyName returns the negotiated policy's canonical spelling.
-func (s *Session) PolicyName() string { return s.policyName }
+func (s *Session) PolicyName() string { return s.policy.Name() }
 
 // Policy returns the negotiated precision policy.
 func (s *Session) Policy() *quant.Policy { return s.policy }
@@ -221,7 +219,7 @@ func Join(cfg Config) (*Session, error) {
 		}
 		return coord.Join()
 	}
-	return joinWorker(cfg)
+	return open(cfg, nil)
 }
 
 // Coordinator owns the rendezvous listener of rank 0 between "start
@@ -257,161 +255,43 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 func (c *Coordinator) Close() error { return c.ln.Close() }
 
 // Join runs the coordinator's side of the rendezvous: collect one
-// hello per rank, negotiate the codec, broadcast the membership table,
-// establish the mesh, and return rank 0's session. The rendezvous
-// listener is closed when Join returns, successfully or not; training
-// traffic flows over the mesh links only.
+// hello per rank, negotiate the policy, broadcast the membership
+// table, establish the mesh, and return rank 0's session. The
+// rendezvous listener is closed when Join returns, successfully or
+// not; training traffic flows over the mesh links only.
 func (c *Coordinator) Join() (*Session, error) {
 	defer c.ln.Close()
 	cfg := c.cfg
-	rendStart := cfg.Tracer.Now()
-	deadline := time.Now().Add(cfg.timeout())
-
-	accepts := make([][]string, cfg.World)
-	addrs := make([]string, cfg.World)
-	accepts[0] = cfg.Accept
-
-	// Phase 1: collect one hello per rank. A malformed or conflicting
-	// hello aborts the whole rendezvous — a cluster that cannot agree on
-	// its own membership must not train — but the offender is told why.
-	rendConns := make([]net.Conn, cfg.World)
-	defer func() {
-		for _, conn := range rendConns {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-	}()
-	if tl, ok := c.ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
-	}
-	for joined := 1; joined < cfg.World; {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: rendezvous accept (have %d of %d ranks): %w",
-				joined, cfg.World, err)
-		}
-		conn.SetDeadline(graceDeadline(deadline))
-		h, err := readHello(conn)
-		conn.SetDeadline(deadline) // the welcome write gets the full window
-		if err != nil {
-			// Garbage on the port — a scanner, a liveness probe, a
-			// disconnect — is not a cluster member failing; drop it and
-			// keep accepting until the deadline.
-			writeReject(conn, 0, err.Error())
-			conn.Close()
-			continue
-		}
-		// A well-formed hello that conflicts with the cluster's own
-		// configuration (wrong protocol version, wrong world, duplicate
-		// or out-of-range rank, unusable codec) is a real
-		// misconfiguration: a cluster that cannot agree on its own
-		// membership must not train. The reject is written at the
-		// offender's own version so an old build can display it.
-		if err := c.checkHello(h, rendConns); err != nil {
-			writeReject(conn, h.Version, err.Error())
-			conn.Close()
-			return nil, fmt.Errorf("cluster: rejected hello: %w", err)
-		}
-		rendConns[h.Rank] = conn
-		accepts[h.Rank] = h.Accept
-		addrs[h.Rank] = h.MeshAddr
-		joined++
-	}
-
-	// The coordinator's mesh listener binds the interface the workers
-	// actually reached it through (the local end of any rendezvous
-	// connection), so the advertised address stays routable even when
-	// the rendezvous listener is bound to a wildcard like ":7070".
-	meshRef := c.ln.Addr()
-	for _, conn := range rendConns {
-		if conn != nil {
-			meshRef = conn.LocalAddr()
-			break
-		}
-	}
-	meshLn, err := listenMesh(meshRef)
-	if err != nil {
-		return nil, err
-	}
-	defer meshLn.Close()
-	addrs[0] = meshLn.Addr().String()
-
-	// Phase 2: negotiate the session policy over every rank's accepted
-	// set, the coordinator's own included.
-	policyName, err := Negotiate(accepts...)
-	if err != nil {
-		for _, conn := range rendConns {
-			if conn != nil {
-				writeReject(conn, 0, err.Error())
-			}
-		}
-		return nil, err
-	}
-
-	// Phase 3: broadcast the membership table, with the session's
-	// health-plane and elastic parameters — the coordinator's word is
-	// what makes every rank run the same detection settings, establish
-	// (or skip) the control links in agreement, and hold (or not) a
-	// rejoin barrier after a death verdict.
-	hb := cfg.Health.Resolved()
-	el := cfg.Elastic.Resolved()
-	wel := welcome{Codec: policyName, Addrs: addrs}
-	if !hb.Disable {
-		wel.HeartbeatInterval = hb.Interval
-		wel.HeartbeatTimeout = hb.Timeout
-	}
-	if el.Enable {
-		wel.RejoinWindow = el.RejoinWindow
-	}
-	for rank := 1; rank < cfg.World; rank++ {
-		if err := writeWelcome(rendConns[rank], wel); err != nil {
-			return nil, fmt.Errorf("cluster: welcome rank %d: %w", rank, err)
-		}
-	}
-
-	// Phase 4: establish the mesh. Rank 0 is the lowest rank, so it
-	// only accepts: one data link — plus one control link when the
-	// health plane is on — from every other rank.
-	conns := make([]net.Conn, cfg.World)
-	var ctrl []net.Conn
-	if !hb.Disable {
-		ctrl = make([]net.Conn, cfg.World)
-	}
-	if err := acceptMeshLinks(meshLn, 0, cfg.World, deadline, conns, ctrl); err != nil {
-		closeConns(conns)
-		closeConns(ctrl)
-		return nil, err
-	}
-	sess, err := newSession(cfg, policyName, addrs, conns, ctrl, hb, el, c.ln.Addr().String())
-	if err == nil {
-		cfg.Tracer.Record(cfg.Rank, obs.PhaseControl, "rendezvous", -1, 0, rendStart, cfg.Tracer.Now()-rendStart)
-	}
-	return sess, err
+	cfg.Addr = c.Addr()
+	return open(cfg, c.ln)
 }
 
-// checkHello validates one worker's hello against the coordinator's
-// configuration and the ranks already joined.
-func (c *Coordinator) checkHello(h hello, rendConns []net.Conn) error {
-	if h.Version != ProtocolVersion {
-		return fmt.Errorf("cluster: rank %d speaks rendezvous protocol version %d, this build speaks %d (the health plane needs matching builds)",
-			h.Rank, h.Version, ProtocolVersion)
+// open runs a fresh rendezvous round for cfg.Rank — rank 0 coordinates
+// on ln — and returns the session it forms.
+func open(cfg Config, ln net.Listener) (*Session, error) {
+	start := cfg.Tracer.Now()
+	r := round{cfg: cfg, ln: ln, deadline: time.Now().Add(cfg.timeout())}
+	if cfg.Rank == 0 {
+		r.admit = admitFresh
+		r.settle = cfg.freshWelcome
 	}
+	wel, conns, ctrl, err := r.run()
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{cfg: cfg}
+	if err := s.adopt(wel, conns, ctrl); err != nil {
+		return nil, err
+	}
+	cfg.Tracer.Record(cfg.Rank, obs.PhaseControl, "rendezvous", -1, 0, start, cfg.Tracer.Now()-start)
+	return s, nil
+}
+
+// admitFresh is a fresh round's admission check: the hello must not be
+// a rejoin, and every policy string it advertises must parse.
+func admitFresh(h hello) error {
 	if h.Rejoin {
 		return fmt.Errorf("cluster: rank %d sent a rejoin hello, but this rendezvous is forming a fresh session (launch without -rejoin, or point the worker at a session that lost a rank)", h.Rank)
-	}
-	if h.World != c.cfg.World {
-		return fmt.Errorf("cluster: rank %d expects a world of %d, coordinator has %d",
-			h.Rank, h.World, c.cfg.World)
-	}
-	if h.Rank <= 0 || h.Rank >= c.cfg.World {
-		return fmt.Errorf("cluster: hello claims rank %d outside (0, %d)", h.Rank, c.cfg.World)
-	}
-	if rendConns[h.Rank] != nil {
-		return fmt.Errorf("cluster: rank %d joined twice", h.Rank)
-	}
-	if h.MeshAddr == "" {
-		return fmt.Errorf("cluster: rank %d advertises no mesh address", h.Rank)
 	}
 	for _, name := range h.Accept {
 		if _, err := quant.ParsePolicy(name); err != nil {
@@ -421,87 +301,314 @@ func (c *Coordinator) checkHello(h hello, rendConns []net.Conn) error {
 	return nil
 }
 
-// joinWorker runs the non-coordinator side of the rendezvous.
-func joinWorker(cfg Config) (*Session, error) {
-	rendStart := cfg.Tracer.Now()
-	deadline := time.Now().Add(cfg.timeout())
-	conn, err := dialCoordinator(cfg.Addr, deadline)
-	if err != nil {
-		return nil, err
+// freshWelcome negotiates the session policy over every rank's accepted
+// set, the coordinator's own included, and stamps the session's
+// health-plane and elastic parameters — the coordinator's word is what
+// makes every rank run the same detection settings, establish (or
+// skip) the control links in agreement, and hold (or not) a rejoin
+// barrier after a death verdict.
+func (c Config) freshWelcome(hellos []hello) (welcome, error) {
+	accepts := make([][]string, len(hellos))
+	accepts[0] = c.Accept
+	for r := 1; r < len(hellos); r++ {
+		accepts[r] = hellos[r].Accept
 	}
-	defer conn.Close()
-	conn.SetDeadline(deadline)
+	policyName, err := Negotiate(accepts...)
+	if err != nil {
+		return welcome{}, err
+	}
+	wel := welcome{Codec: policyName}
+	if hb := c.Health.Resolved(); !hb.Disable {
+		wel.HeartbeatInterval = hb.Interval
+		wel.HeartbeatTimeout = hb.Timeout
+	}
+	if el := c.Elastic.Resolved(); el.Enable {
+		wel.RejoinWindow = el.RejoinWindow
+	}
+	return wel, nil
+}
+
+// adopt stands the transport plane up over a finished round's links
+// and takes on the welcome's membership and settings. It owns the
+// links: every error path closes them. The coordinator governs the
+// policy, the heartbeat and the rejoin window; only the phi threshold
+// and the rejoin budget stay local. A zero interval means the
+// coordinator turned the health plane off; a zero rejoin window,
+// elasticity. The data links become the rank's Transport and — when
+// the health plane is on — the heartbeat monitor runs over the control
+// links with its verdict wired into the fabric's Abort, so a peer death
+// interrupts every in-flight exchange with health.ErrPeerDead.
+func (s *Session) adopt(wel welcome, conns, ctrl []net.Conn) error {
+	policy, err := quant.ParsePolicy(wel.Codec)
+	if err != nil {
+		closeConns(conns)
+		closeConns(ctrl)
+		return fmt.Errorf("cluster: negotiated policy: %w", err)
+	}
+	for _, set := range [][]net.Conn{conns, ctrl} {
+		for _, conn := range set {
+			if conn != nil {
+				conn.SetDeadline(time.Time{})
+			}
+		}
+	}
+	fabric, err := comm.NewRemoteFabric(s.cfg.Rank, s.cfg.World, conns)
+	if err != nil {
+		closeConns(conns)
+		closeConns(ctrl)
+		return err
+	}
+	hb := health.Config{
+		Interval: wel.HeartbeatInterval,
+		Timeout:  wel.HeartbeatTimeout,
+		Phi:      s.cfg.Health.Phi,
+		Disable:  wel.HeartbeatInterval <= 0,
+	}.Resolved()
+	var monitor *health.Monitor
+	if ctrl != nil && s.cfg.World > 1 {
+		if monitor, err = health.NewMonitor(s.cfg.Rank, s.cfg.World, ctrl, hb); err != nil {
+			fabric.Close()
+			closeConns(ctrl)
+			return err
+		}
+		monitor.OnVerdict(func(verr error) { fabric.Abort(verr) })
+		monitor.Start()
+	}
+	s.policy, s.hb, s.fabric, s.monitor = policy, hb, fabric, monitor
+	s.el = elastic.Config{
+		Enable:       wel.RejoinWindow > 0,
+		RejoinWindow: wel.RejoinWindow,
+		MaxRejoins:   s.cfg.Elastic.MaxRejoins,
+	}.Resolved()
+	s.peers, s.generation = wel.Addrs, wel.Generation
+	return nil
+}
+
+// round is one rendezvous round from one rank's side: a fresh round
+// forms a session, a rejoin round repairs one. Both run the same
+// hello → welcome → mesh handshake over the same address.
+type round struct {
+	cfg      Config
+	ln       net.Listener // rank 0's rendezvous listener
+	deadline time.Time
+	// rejoin marks a rejoin round. Its hellos carry the rejoin kind and
+	// the sender's step. Rank 0 rejects a conflicting hello but keeps
+	// the barrier open, and lets the newest connection take a slot
+	// claimed twice; a fresh round fails on either.
+	rejoin bool
+	step   int64
+	// admit is rank 0's round-specific check of a well-formed hello,
+	// after the checks every round shares.
+	admit func(hello) error
+	// settle derives rank 0's welcome from the collected hellos (index
+	// = rank); the round fills in the membership table.
+	settle func(hellos []hello) (welcome, error)
+}
+
+// run performs this rank's side of the round and returns the welcome
+// with this rank's share of the mesh: the data links, plus the control
+// links when the welcome enables the health plane. On error every link
+// is closed.
+func (r round) run() (welcome, []net.Conn, []net.Conn, error) {
+	var wel welcome
+	var meshLn net.Listener
+	var rendConns []net.Conn
+	var err error
+	if r.cfg.Rank == 0 {
+		wel, meshLn, rendConns, err = r.coordinate()
+	} else {
+		wel, meshLn, rendConns, err = r.greet()
+	}
+	// The rendezvous connections stay open until the mesh is up.
+	defer closeConns(rendConns)
+	if meshLn != nil {
+		defer meshLn.Close()
+	}
+	if err != nil {
+		return wel, nil, nil, err
+	}
+	conns := make([]net.Conn, r.cfg.World)
+	var ctrl []net.Conn
+	if wel.HeartbeatInterval > 0 {
+		ctrl = make([]net.Conn, r.cfg.World)
+	}
+	if err := establishMeshLinks(meshLn, wel.Addrs, r.cfg.Rank, r.cfg.World, r.deadline, conns, ctrl); err != nil {
+		closeConns(conns)
+		closeConns(ctrl)
+		return wel, nil, nil, err
+	}
+	return wel, conns, ctrl, nil
+}
+
+// coordinate is rank 0's side of the handshake: collect one admitted
+// hello per other rank, open rank 0's mesh listener and broadcast the
+// welcome. The listener and the rendezvous connections it returns,
+// even on error, are the caller's to close.
+func (r round) coordinate() (welcome, net.Listener, []net.Conn, error) {
+	world := r.cfg.World
+	hellos := make([]hello, world)
+	rendConns := make([]net.Conn, world)
+	if tl, ok := r.ln.(*net.TCPListener); ok {
+		tl.SetDeadline(r.deadline)
+	}
+	for joined := 1; joined < world; {
+		conn, err := r.ln.Accept()
+		if err != nil {
+			return welcome{}, nil, rendConns, fmt.Errorf("cluster: rendezvous accept (have %d of %d ranks): %w",
+				joined, world, err)
+		}
+		conn.SetDeadline(graceDeadline(r.deadline))
+		h, err := readHello(conn)
+		conn.SetDeadline(r.deadline) // the welcome write gets the full window
+		if err != nil {
+			// Garbage on the port — a scanner, a liveness probe, a
+			// disconnect — is not a cluster member failing; drop it and
+			// keep accepting until the deadline.
+			writeReject(conn, 0, err.Error())
+			conn.Close()
+			continue
+		}
+		err = checkHello(h, world)
+		if err == nil {
+			err = r.admit(h)
+		}
+		if err == nil && !r.rejoin && rendConns[h.Rank] != nil {
+			err = fmt.Errorf("cluster: rank %d joined twice", h.Rank)
+		}
+		if err != nil {
+			// The reject is written at the offender's own version so an
+			// old build can display it.
+			writeReject(conn, h.Version, err.Error())
+			conn.Close()
+			if r.rejoin {
+				// The rejoin barrier exists to ride out chaos: a
+				// wrong-world stray, an old build, a hello for an
+				// impossible slot must not kill a repair the window
+				// still has time to complete.
+				continue
+			}
+			// In a fresh round it is one of the cluster's own ranks
+			// misconfigured: a cluster that cannot agree on its own
+			// membership must not train.
+			return welcome{}, nil, rendConns, fmt.Errorf("cluster: rejected hello: %w", err)
+		}
+		if rendConns[h.Rank] != nil {
+			// A rejoin slot claimed twice: the newest connection wins.
+			// The stale one is a replacement (or survivor) that crashed
+			// or lost its link after its hello — its supervisor
+			// relaunched it, and holding the dead connection would just
+			// burn the window.
+			rendConns[h.Rank].Close()
+			joined--
+		}
+		rendConns[h.Rank] = conn
+		hellos[h.Rank] = h
+		joined++
+	}
+
+	// The coordinator's mesh listener binds the interface the workers
+	// actually reached it through (the local end of any rendezvous
+	// connection), so the advertised address stays routable even when
+	// the rendezvous listener is bound to a wildcard like ":7070".
+	meshRef := r.ln.Addr()
+	for _, conn := range rendConns {
+		if conn != nil {
+			meshRef = conn.LocalAddr()
+			break
+		}
+	}
+	meshLn, err := listenMesh(meshRef)
+	if err != nil {
+		return welcome{}, nil, rendConns, err
+	}
+	wel, err := r.settle(hellos)
+	if err != nil {
+		for _, conn := range rendConns {
+			if conn != nil {
+				writeReject(conn, 0, err.Error())
+			}
+		}
+		return welcome{}, meshLn, rendConns, err
+	}
+	wel.Addrs = make([]string, world)
+	wel.Addrs[0] = meshLn.Addr().String()
+	for rank := 1; rank < world; rank++ {
+		wel.Addrs[rank] = hellos[rank].MeshAddr
+	}
+	for rank := 1; rank < world; rank++ {
+		if err := writeWelcome(rendConns[rank], wel); err != nil {
+			return welcome{}, meshLn, rendConns, fmt.Errorf("cluster: welcome rank %d: %w", rank, err)
+		}
+	}
+	return wel, meshLn, rendConns, nil
+}
+
+// checkHello validates what every round requires of a hello: this
+// build's protocol version, the session's world, a worker rank inside
+// it, and a mesh address.
+func checkHello(h hello, world int) error {
+	switch {
+	case h.Version != ProtocolVersion:
+		return fmt.Errorf("cluster: rank %d speaks rendezvous protocol version %d, this build speaks %d (the health plane and elastic rejoin need matching builds)",
+			h.Rank, h.Version, ProtocolVersion)
+	case h.World != world:
+		return fmt.Errorf("cluster: rank %d expects a world of %d, the session has %d", h.Rank, h.World, world)
+	case h.Rank <= 0 || h.Rank >= world:
+		return fmt.Errorf("cluster: hello claims rank %d outside (0, %d)", h.Rank, world)
+	case h.MeshAddr == "":
+		return fmt.Errorf("cluster: rank %d advertises no mesh address", h.Rank)
+	}
+	return nil
+}
+
+// greet is a worker's side of the handshake: dial the coordinator,
+// open this rank's mesh listener, send the hello and read and check
+// the welcome. The listener and the rendezvous connection it returns,
+// even on error, are the caller's to close.
+func (r round) greet() (welcome, net.Listener, []net.Conn, error) {
+	conn, err := dialCoordinator(r.cfg.Addr, r.deadline)
+	if err != nil {
+		return welcome{}, nil, nil, err
+	}
+	rendConns := []net.Conn{conn}
+	conn.SetDeadline(r.deadline)
 
 	// The mesh listener binds the interface this host reaches the
 	// coordinator through, so the advertised address is routable for
 	// every peer that can also reach the coordinator.
 	meshLn, err := listenMesh(conn.LocalAddr())
 	if err != nil {
-		return nil, err
+		return welcome{}, nil, rendConns, err
 	}
-	defer meshLn.Close()
-
 	err = writeHello(conn, hello{
-		Rank:     cfg.Rank,
-		World:    cfg.World,
+		Rank:     r.cfg.Rank,
+		World:    r.cfg.World,
 		MeshAddr: meshLn.Addr().String(),
-		Accept:   cfg.Accept,
+		Accept:   r.cfg.Accept,
+		Rejoin:   r.rejoin,
+		Step:     r.step,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: send hello: %w", err)
+		return welcome{}, meshLn, rendConns, fmt.Errorf("cluster: send hello: %w", err)
 	}
 	wel, err := readWelcome(conn)
-	if err != nil {
-		return nil, err
+	switch {
+	case err != nil:
+	case len(wel.Addrs) != r.cfg.World:
+		err = fmt.Errorf("cluster: membership table has %d ranks, want %d", len(wel.Addrs), r.cfg.World)
+	case r.rejoin && len(wel.Steps) != r.cfg.World:
+		err = fmt.Errorf("cluster: rejoin welcome carries no step table")
+	case r.rejoin && wel.HeartbeatInterval <= 0:
+		err = fmt.Errorf("cluster: rejoin welcome disables the health plane, which elastic sessions require")
 	}
-	if len(wel.Addrs) != cfg.World {
-		return nil, fmt.Errorf("cluster: membership table has %d ranks, want %d",
-			len(wel.Addrs), cfg.World)
-	}
-	// The coordinator's welcome fixes the session's heartbeat and
-	// elastic settings; only the worker's phi threshold and rejoin
-	// budget stay local. A zero interval means the coordinator turned
-	// the health plane off; a zero rejoin window, elasticity.
-	hb := health.Config{
-		Interval: wel.HeartbeatInterval,
-		Timeout:  wel.HeartbeatTimeout,
-		Phi:      cfg.Health.Phi,
-		Disable:  wel.HeartbeatInterval <= 0,
-	}.Resolved()
-	el := elastic.Config{
-		Enable:       wel.RejoinWindow > 0,
-		RejoinWindow: wel.RejoinWindow,
-		MaxRejoins:   cfg.Elastic.MaxRejoins,
-	}.Resolved()
-
-	// Mesh: dial every lower rank — the data link, then the control
-	// link when the health plane is on — and accept from every higher
-	// rank.
-	conns := make([]net.Conn, cfg.World)
-	var ctrl []net.Conn
-	if !hb.Disable {
-		ctrl = make([]net.Conn, cfg.World)
-	}
-	if err := establishMeshLinks(meshLn, wel.Addrs, cfg.Rank, cfg.World, deadline, conns, ctrl); err != nil {
-		closeConns(conns)
-		closeConns(ctrl)
-		return nil, err
-	}
-	sess, err := newSession(cfg, wel.Codec, wel.Addrs, conns, ctrl, hb, el, cfg.Addr)
-	if err == nil {
-		cfg.Tracer.Record(cfg.Rank, obs.PhaseControl, "rendezvous", -1, 0, rendStart, cfg.Tracer.Now()-rendStart)
-	}
-	return sess, err
+	return wel, meshLn, rendConns, err
 }
 
 // establishMeshLinks builds one rank's full share of the mesh: it
 // dials every lower rank — the data link, plus the control link when
 // ctrl is non-nil — and then accepts the links every higher rank dials
 // in, filling conns (and ctrl) completely. The caller owns the slices
-// and closes any partially established links on error. Both the fresh
-// rendezvous and the rejoin barrier establish their meshes through
-// this one sequence, so link-establishment fixes cannot diverge
-// between the two paths.
+// and closes any partially established links on error.
 func establishMeshLinks(ln net.Listener, addrs []string, rank, world int, deadline time.Time, conns, ctrl []net.Conn) error {
 	for p := 0; p < rank; p++ {
 		pc, err := dialMeshLink(addrs[p], rank, p, linkData, deadline)
@@ -601,71 +708,6 @@ func acceptMeshLinks(ln net.Listener, local, world int, deadline time.Time, conn
 		have++
 	}
 	return nil
-}
-
-// newSession finalises a rendezvous: clears the handshake deadlines,
-// wraps the data mesh into the local rank's Transport, and — when the
-// health plane is on — starts the heartbeat monitor over the control
-// links with its verdict wired into the fabric's Abort, so a peer
-// death interrupts every in-flight exchange with health.ErrPeerDead.
-func newSession(cfg Config, policyName string, addrs []string, conns, ctrl []net.Conn, hb health.Config, el elastic.Config, rendAddr string) (*Session, error) {
-	policy, err := quant.ParsePolicy(policyName)
-	if err != nil {
-		closeConns(conns)
-		closeConns(ctrl)
-		return nil, fmt.Errorf("cluster: negotiated policy: %w", err)
-	}
-	fabric, monitor, err := establishPlane(cfg.Rank, cfg.World, conns, ctrl, hb)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{
-		rank:       cfg.Rank,
-		world:      cfg.World,
-		policyName: policy.Name(),
-		policy:     policy,
-		fabric:     fabric,
-		monitor:    monitor,
-		peers:      addrs,
-		rendAddr:   rendAddr,
-		hb:         hb,
-		el:         el,
-		accepts:    append([]string(nil), cfg.Accept...),
-		tracer:     cfg.Tracer,
-	}, nil
-}
-
-// establishPlane turns a freshly handshaken set of mesh connections
-// into the running transport plane of one rank: handshake deadlines
-// cleared, the data links wrapped into a RemoteFabric, and — when
-// control links exist — a started monitor whose verdict aborts the
-// fabric. It owns the connections: every error path closes them.
-func establishPlane(rank, world int, conns, ctrl []net.Conn, hb health.Config) (*comm.RemoteFabric, *health.Monitor, error) {
-	for _, set := range [][]net.Conn{conns, ctrl} {
-		for _, conn := range set {
-			if conn != nil {
-				conn.SetDeadline(time.Time{})
-			}
-		}
-	}
-	fabric, err := comm.NewRemoteFabric(rank, world, conns)
-	if err != nil {
-		closeConns(conns)
-		closeConns(ctrl)
-		return nil, nil, err
-	}
-	var monitor *health.Monitor
-	if ctrl != nil && world > 1 {
-		monitor, err = health.NewMonitor(rank, world, ctrl, hb)
-		if err != nil {
-			fabric.Close()
-			closeConns(ctrl)
-			return nil, nil, err
-		}
-		monitor.OnVerdict(func(verr error) { fabric.Abort(verr) })
-		monitor.Start()
-	}
-	return fabric, monitor, nil
 }
 
 // listenMesh opens the per-rank mesh listener on an ephemeral port of

@@ -360,7 +360,7 @@ func TestRendezvousRejectsWorldMismatch(t *testing.T) {
 		}
 		joinErr <- err
 	}()
-	_, werr := joinWorker(Config{
+	_, werr := Join(Config{
 		Addr: coord.Addr(), Rank: 1, World: 5, Timeout: 5 * time.Second,
 	})
 	if werr == nil {

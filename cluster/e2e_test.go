@@ -209,12 +209,16 @@ func TestClusterTrainingInProcess(t *testing.T) {
 	outcomes := make([]outcome, world)
 	errs := make([]error, world)
 	var wg sync.WaitGroup
-	runRank := func(rank int, opt lpsgd.Option) {
+	runRank := func(rank int, join func() (*cluster.Session, error)) {
 		defer wg.Done()
+		sess, err := join()
+		if err != nil {
+			errs[rank] = err
+			return
+		}
 		model, train, test := trainingTask()
 		trainer, err := lpsgd.NewTrainer(model,
-			opt,
-			lpsgd.WithAcceptedPolicies("qsgd4b512", "1bit*64"),
+			lpsgd.WithClusterSession(sess),
 			lpsgd.WithBatchSize(24),
 			lpsgd.WithEpochs(2),
 			lpsgd.WithSeed(7),
@@ -242,17 +246,14 @@ func TestClusterTrainingInProcess(t *testing.T) {
 	}
 	wg.Add(world)
 	for rank := 1; rank < world; rank++ {
-		go runRank(rank, lpsgd.WithCluster(coord.Addr(), rank, world))
+		go runRank(rank, func() (*cluster.Session, error) {
+			return cluster.Join(cluster.Config{
+				Addr: coord.Addr(), Rank: rank, World: world,
+				Accept: []string{"qsgd4b512", "1bit*64"},
+			})
+		})
 	}
-	go func() {
-		sess, err := coord.Join()
-		if err != nil {
-			errs[0] = err
-			wg.Done()
-			return
-		}
-		runRank(0, lpsgd.WithClusterSession(sess))
-	}()
+	go runRank(0, coord.Join)
 	wg.Wait()
 	for rank, err := range errs {
 		if err != nil {
@@ -604,12 +605,16 @@ func TestHealthPlaneDigestParity(t *testing.T) {
 		ckpts := make([][]byte, world)
 		errs := make([]error, world)
 		var wg sync.WaitGroup
-		runRank := func(rank int, opt lpsgd.Option) {
+		runRank := func(rank int, join func() (*cluster.Session, error)) {
 			defer wg.Done()
+			sess, err := join()
+			if err != nil {
+				errs[rank] = err
+				return
+			}
 			model, train, test := trainingTask()
 			trainer, err := lpsgd.NewTrainer(model,
-				opt,
-				lpsgd.WithAcceptedPolicies("qsgd4b512"),
+				lpsgd.WithClusterSession(sess),
 				lpsgd.WithBatchSize(24),
 				lpsgd.WithEpochs(2),
 				lpsgd.WithSeed(7),
@@ -631,16 +636,13 @@ func TestHealthPlaneDigestParity(t *testing.T) {
 			ckpts[rank] = buf.Bytes()
 		}
 		wg.Add(world)
-		go runRank(1, lpsgd.WithCluster(coord.Addr(), 1, world))
-		go func() {
-			sess, err := coord.Join()
-			if err != nil {
-				errs[0] = err
-				wg.Done()
-				return
-			}
-			runRank(0, lpsgd.WithClusterSession(sess))
-		}()
+		go runRank(1, func() (*cluster.Session, error) {
+			return cluster.Join(cluster.Config{
+				Addr: coord.Addr(), Rank: 1, World: world,
+				Accept: []string{"qsgd4b512"},
+			})
+		})
+		go runRank(0, coord.Join)
 		wg.Wait()
 		for rank, err := range errs {
 			if err != nil {

@@ -24,7 +24,6 @@ type elasticWorldResult struct {
 // replacement — of the in-process elastic tests must share.
 func elasticTrainOpts() []lpsgd.Option {
 	return []lpsgd.Option{
-		lpsgd.WithAcceptedPolicies("qsgd4b512"),
 		lpsgd.WithBatchSize(24),
 		lpsgd.WithEpochs(8),
 		lpsgd.WithSeed(7),
@@ -74,9 +73,9 @@ func runElasticWorld(t *testing.T, kill bool) []byte {
 	var trainersMu sync.Mutex
 	var wg sync.WaitGroup
 
-	runRank := func(rank, slot int, opt lpsgd.Option, restore *elastic.Snapshot) {
+	runRank := func(rank, slot int, sess *cluster.Session, restore *elastic.Snapshot) {
 		defer wg.Done()
-		trainer, err := lpsgd.NewTrainer(model, append(elasticTrainOpts(), opt)...)
+		trainer, err := lpsgd.NewTrainer(model, append(elasticTrainOpts(), lpsgd.WithClusterSession(sess))...)
 		if err != nil {
 			results[slot].err = err
 			return
@@ -104,18 +103,26 @@ func runElasticWorld(t *testing.T, kill bool) []byte {
 	}
 
 	wg.Add(world)
-	for rank := 1; rank < world; rank++ {
-		go runRank(rank, rank, lpsgd.WithCluster(addr, rank, world), nil)
+	for rank := 0; rank < world; rank++ {
+		go func() {
+			var sess *cluster.Session
+			var err error
+			if rank == 0 {
+				sess, err = coord.Join()
+			} else {
+				sess, err = cluster.Join(cluster.Config{
+					Addr: addr, Rank: rank, World: world,
+					Accept: []string{"qsgd4b512"},
+				})
+			}
+			if err != nil {
+				results[rank].err = err
+				wg.Done()
+				return
+			}
+			runRank(rank, rank, sess, nil)
+		}()
 	}
-	go func() {
-		sess, err := coord.Join()
-		if err != nil {
-			results[0].err = err
-			wg.Done()
-			return
-		}
-		runRank(0, 0, lpsgd.WithClusterSession(sess), nil)
-	}()
 
 	if kill {
 		// Wait until the victim has provably applied a few steps, then
@@ -153,7 +160,7 @@ func runElasticWorld(t *testing.T, kill bool) []byte {
 				return
 			}
 			wg.Add(1)
-			runRank(victim, world, lpsgd.WithClusterSession(sess), snap)
+			runRank(victim, world, sess, snap)
 		}()
 	}
 	wg.Wait()
@@ -210,9 +217,17 @@ func TestElasticRejoinWindowExpiry(t *testing.T) {
 	victimUp := make(chan *lpsgd.Trainer, 1)
 	res := make(chan error, 1)
 	go func() {
+		sess, err := cluster.Join(cluster.Config{
+			Addr: coord.Addr(), Rank: 1, World: world,
+			Accept: []string{"qsgd4b512"},
+		})
+		if err != nil {
+			victimUp <- nil
+			res <- err
+			return
+		}
 		trainer, err := lpsgd.NewTrainer(model,
-			lpsgd.WithCluster(coord.Addr(), 1, world),
-			lpsgd.WithAcceptedPolicies("qsgd4b512"),
+			lpsgd.WithClusterSession(sess),
 			lpsgd.WithBatchSize(24),
 			lpsgd.WithEpochs(100000),
 			lpsgd.WithSeed(7),
@@ -234,7 +249,6 @@ func TestElasticRejoinWindowExpiry(t *testing.T) {
 	}
 	coordTrainer, err := lpsgd.NewTrainer(model,
 		lpsgd.WithClusterSession(sess),
-		lpsgd.WithAcceptedPolicies("qsgd4b512"),
 		lpsgd.WithBatchSize(24),
 		lpsgd.WithEpochs(100000),
 		lpsgd.WithSeed(7),

@@ -74,8 +74,12 @@ type ClusterStatus struct {
 	MinLoss  jsonFloat `json:"min_loss"`
 	MeanLoss jsonFloat `json:"mean_loss"`
 	MaxLoss  jsonFloat `json:"max_loss"`
-	// Straggler is the reporting rank with the largest step wall time
-	// (-1 until snapshots arrive).
+	// Straggler is the reporting rank with the largest compute time in
+	// its latest snapshot (-1 until snapshots arrive): in a blocking
+	// collective the other ranks' exchange timers absorb the wait for
+	// it, so compute+exchange is nearly equal across ranks and only
+	// compute names the rank gating the barrier — the attribution the
+	// trainer's StepStats and the simulator share.
 	Straggler int `json:"straggler"`
 	// LossTrend is a bounded history of the cluster-mean loss, oldest
 	// first — the dashboard sparkline.
@@ -260,8 +264,8 @@ func (h *TelemetryHub) Status() ClusterStatus {
 		if first || s.Loss > float64(st.MaxLoss) {
 			st.MaxLoss = jsonFloat(s.Loss)
 		}
-		if total := s.Compute + s.Exchange; total > slowest {
-			slowest, st.Straggler = total, r
+		if s.Compute > slowest {
+			slowest, st.Straggler = s.Compute, r
 		}
 		first = false
 	}

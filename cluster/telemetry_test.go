@@ -63,6 +63,19 @@ func TestTelemetryHubAggregates(t *testing.T) {
 	}
 }
 
+// TestTelemetryHubStragglerByCompute: the straggler is the rank that
+// computed longest, not the one with the largest compute+exchange. In
+// a blocking collective the fast ranks' exchange timers absorb the
+// wait for the slow one, so their totals can even exceed its own.
+func TestTelemetryHubStragglerByCompute(t *testing.T) {
+	h := NewTelemetryHub(2, "qsgd4b512")
+	h.Observe(0, health.TelemetrySnapshot{Step: 9, Compute: 2 * time.Millisecond, Exchange: 30 * time.Millisecond})
+	h.Observe(1, health.TelemetrySnapshot{Step: 9, Compute: 20 * time.Millisecond, Exchange: 3 * time.Millisecond})
+	if st := h.Status(); st.Straggler != 1 {
+		t.Fatalf("straggler = %d, want rank 1, which computed longest", st.Straggler)
+	}
+}
+
 // TestTelemetryHubMetricsText: the Prometheus rendering carries every
 // reporting rank and the per-tensor aggregate series.
 func TestTelemetryHubMetricsText(t *testing.T) {

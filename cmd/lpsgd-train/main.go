@@ -74,7 +74,6 @@ import (
 
 	"repro/cluster"
 	"repro/elastic"
-	"repro/health"
 	"repro/internal/harness"
 	"repro/internal/report"
 	"repro/internal/runflags"
@@ -134,6 +133,7 @@ func main() {
 	// train the same task with the same seed, so the mesh replicas stay
 	// bit-identical.
 	isChild := *clusterAddr != ""
+	accept := []string{rf.Policy}
 	var restore *elastic.Snapshot
 	var super *reforker
 	switch {
@@ -144,16 +144,9 @@ func main() {
 		// (the barrier only opens once they reach their verdict) plus
 		// the window itself — the 30s default would silently defeat a
 		// long window under slow detection.
-		hb := health.Config{Interval: rf.Heartbeat, Timeout: rf.HeartbeatTimeout}.Resolved()
-		el := rf.ElasticConfig()
-		el.Enable = true
-		sess, snap, err := cluster.Rejoin(cluster.Config{
-			Addr: *clusterAddr, Rank: *clusterRank, World: *clusterN,
-			Accept:  []string{rf.Policy},
-			Timeout: hb.Timeout + el.Resolved().RejoinWindow + 30*time.Second,
-			Health:  hb,
-			Elastic: el,
-		})
+		cfg := rf.ClusterConfig(*clusterAddr, *clusterRank, *clusterN, accept, plane.Tracer)
+		cfg.Timeout = cfg.Health.Resolved().Timeout + cfg.Elastic.Resolved().RejoinWindow + 30*time.Second
+		sess, snap, err := cluster.Rejoin(cfg)
 		if err != nil {
 			runflags.Fail(5, err)
 		}
@@ -162,16 +155,13 @@ func main() {
 		restore = snap
 		opts = append(opts, lpsgd.WithClusterSession(sess))
 	case isChild:
-		opts = append(opts,
-			lpsgd.WithCluster(*clusterAddr, *clusterRank, *clusterN),
-			lpsgd.WithHeartbeat(rf.Heartbeat, rf.HeartbeatTimeout),
-			lpsgd.WithElastic(rf.MaxRejoins, rf.RejoinWindow))
+		sess, err := cluster.Join(rf.ClusterConfig(*clusterAddr, *clusterRank, *clusterN, accept, plane.Tracer))
+		if err != nil {
+			runflags.Fail(1, err)
+		}
+		opts = append(opts, lpsgd.WithClusterSession(sess))
 	case *clusterN > 0:
-		coord, err := cluster.NewCoordinator(cluster.Config{
-			Addr: "127.0.0.1:0", World: *clusterN, Accept: []string{rf.Policy},
-			Health:  rf.HealthConfig(),
-			Elastic: rf.ElasticConfig(),
-		})
+		coord, err := cluster.NewCoordinator(rf.ClusterConfig("127.0.0.1:0", 0, *clusterN, accept, plane.Tracer))
 		if err != nil {
 			runflags.Fail(1, err)
 		}
@@ -205,7 +195,7 @@ func main() {
 		if err != nil {
 			runflags.Fail(1, err)
 		}
-		opts = append(opts, lpsgd.WithClusterSession(sess), lpsgd.WithElastic(rf.MaxRejoins, rf.RejoinWindow))
+		opts = append(opts, lpsgd.WithClusterSession(sess))
 	}
 
 	trainer, err := lpsgd.NewTrainer(model, opts...)

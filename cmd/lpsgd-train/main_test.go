@@ -66,3 +66,21 @@ func TestClusterRejectsNegativeFlagsBeforeForking(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterClampsHeartbeatTimeoutOnEveryRank: a heartbeat timeout
+// shorter than the interval is clamped to the interval, the same way
+// on the coordinator and on the forked ranks, so the run trains to the
+// end instead of a child refusing the flags while rank 0 waits out the
+// rendezvous.
+func TestClusterClampsHeartbeatTimeoutOnEveryRank(t *testing.T) {
+	bin := buildTrain(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, "-cluster", "2", "-heartbeat", "1s", "-heartbeat-timeout", "100ms",
+		"-epochs", "1", "-train-samples", "64", "-test-samples", "32")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("got %v, want exit status 0\nstderr: %s", err, stderr.String())
+	}
+}

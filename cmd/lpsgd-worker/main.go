@@ -178,13 +178,8 @@ func main() {
 		runflags.Fail(exitUsage, err)
 	}
 
-	cfg := cluster.Config{
-		Addr: *coordAddr, Rank: *rank, World: *world,
-		Accept: names, Timeout: *joinWait,
-		Tracer:  plane.Tracer,
-		Health:  rf.HealthConfig(),
-		Elastic: rf.ElasticConfig(),
-	}
+	cfg := rf.ClusterConfig(*coordAddr, *rank, *world, names, plane.Tracer)
+	cfg.Timeout = *joinWait
 
 	// Three ways into a session: rank 0 goes through the explicit
 	// coordinator path so that a ":0" rendezvous port is printed before
@@ -229,7 +224,6 @@ func main() {
 	plane.SetPolicy(sess.PolicyName())
 	opts := append([]lpsgd.Option{
 		lpsgd.WithClusterSession(sess),
-		lpsgd.WithElastic(rf.MaxRejoins, rf.RejoinWindow),
 		lpsgd.WithStepDeadline(rf.StepDeadline),
 		lpsgd.WithBatchSize(rf.Batch),
 		lpsgd.WithEpochs(rf.Epochs),

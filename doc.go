@@ -17,20 +17,22 @@
 // loopback-TCP or remote mesh fabrics), cluster (the multi-process
 // runtime: TCP rendezvous, per-session policy negotiation with a 32bit
 // floor, and mesh establishment across machine boundaries — launched
-// via cmd/lpsgd-worker or lpsgd.WithCluster), health (the cluster's
+// via cmd/lpsgd-worker, or in code as cluster.Join — one cluster.Config
+// spelling membership, accepted policies, health and elasticity —
+// handed to lpsgd.WithClusterSession), health (the cluster's
 // fault-handling plane: per-peer heartbeat control links, a
 // phi-or-deadline failure detector, a coordinated abort that unblocks
 // every survivor with the same typed health.ErrPeerDead when a rank
 // dies mid-epoch, and straggler telemetry piggybacked on the
-// heartbeats — tuned via lpsgd.WithHeartbeat/WithStepDeadline and
-// surfaced through Trainer.StepStats and lpsgd-worker's documented
-// exit codes), elastic (elastic sessions on top of the health plane:
+// heartbeats — tuned via cluster.Config.Health and
+// lpsgd.WithStepDeadline, and surfaced through Trainer.StepStats and
+// lpsgd-worker's documented exit codes), elastic (elastic sessions on top of the health plane:
 // a versioned session-state snapshot — weights, optimiser momentum,
 // step and data cursors — and the rendezvous ProtocolVersion 4 rejoin
 // protocol, through which a replacement process takes a dead rank's
 // slot mid-run via donor state transfer and training resumes with
 // digests bit-identical to an uninterrupted run under residual-free
-// policies; enabled by lpsgd.WithElastic and lpsgd-worker -rejoin,
+// policies; enabled by cluster.Config.Elastic and lpsgd-worker -rejoin,
 // with Trainer.SaveState/LoadState exposing the same snapshot for
 // planned, exact resumption), sim (the performance laboratory: the
 // calibrated single-exchange cost model of the paper's machines,

@@ -291,8 +291,7 @@ func TestMonitorCleanShutdownIsNotDeath(t *testing.T) {
 }
 
 // TestMonitorStepReportPiggyback: step timings reported on one rank
-// arrive at every peer on the next heartbeat, and Straggler attributes
-// the slowest rank.
+// arrive at every peer on the next heartbeat, beside the peer's own.
 func TestMonitorStepReportPiggyback(t *testing.T) {
 	conns := controlMesh(t, 2)
 	ms := startMonitors(t, conns, Config{Interval: 15 * time.Millisecond, Timeout: 5 * time.Second})
@@ -315,9 +314,8 @@ func TestMonitorStepReportPiggyback(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rank, rep, ok := ms[1].Straggler()
-	if !ok || rank != 0 || rep != slow {
-		t.Fatalf("straggler = (%d, %+v, %v), want rank 0 with %+v", rank, rep, ok, slow)
+	if got, ok := ms[1].Report(1); !ok || got != fast {
+		t.Fatalf("rank 1's own report = (%+v, %v), want %+v", got, ok, fast)
 	}
 	// The sender counts a ping once its Write returns, which can be
 	// after the peer has already read it: wait for the count, bounded.

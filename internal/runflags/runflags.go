@@ -135,22 +135,25 @@ func Fail(code int, err error) {
 	os.Exit(code)
 }
 
-// HealthConfig is the health-plane configuration the flags select.
-func (f *Flags) HealthConfig() health.Config {
-	return health.Config{
-		Interval: f.Heartbeat,
-		Timeout:  f.HeartbeatTimeout,
-		Disable:  f.Heartbeat == 0,
-	}
-}
-
-// ElasticConfig is the elasticity configuration the flags select: a
-// positive -rejoin-window makes the session elastic.
-func (f *Flags) ElasticConfig() elastic.Config {
-	return elastic.Config{
-		Enable:       f.RejoinWindow > 0,
-		RejoinWindow: f.RejoinWindow,
-		MaxRejoins:   f.MaxRejoins,
+// ClusterConfig is the cluster.Config of one rank, the one way every
+// command joins, coordinates or rejoins a session: the membership and
+// accept list the command supplies, with the health plane, elasticity
+// and tracer the flags select. A positive -rejoin-window makes the
+// session elastic; -heartbeat 0 turns the health plane off.
+func (f *Flags) ClusterConfig(addr string, rank, world int, accept []string, tracer *obs.Tracer) cluster.Config {
+	return cluster.Config{
+		Addr: addr, Rank: rank, World: world, Accept: accept,
+		Health: health.Config{
+			Interval: f.Heartbeat,
+			Timeout:  f.HeartbeatTimeout,
+			Disable:  f.Heartbeat == 0,
+		},
+		Elastic: elastic.Config{
+			Enable:       f.RejoinWindow > 0,
+			RejoinWindow: f.RejoinWindow,
+			MaxRejoins:   f.MaxRejoins,
+		},
+		Tracer: tracer,
 	}
 }
 

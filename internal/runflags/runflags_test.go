@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func newSet(d Defaults) (*flag.FlagSet, *Flags) {
@@ -120,5 +121,29 @@ func TestValidateNamesTheNegativeFlag(t *testing.T) {
 	_, f := newSet(workerDefaults)
 	if err := f.Validate(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
+	}
+}
+
+// TestClusterConfigFromFlags: the health and elasticity flags land in
+// the cluster.Config every command joins with — -heartbeat 0 turns the
+// plane off and a positive -rejoin-window turns elasticity on.
+func TestClusterConfigFromFlags(t *testing.T) {
+	fs, f := newSet(workerDefaults)
+	if err := fs.Parse([]string{"-heartbeat=0", "-rejoin-window=5s", "-max-rejoins=2"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := f.ClusterConfig("127.0.0.1:7070", 1, 3, []string{"qsgd4b512"}, nil)
+	if cfg.Addr != "127.0.0.1:7070" || cfg.Rank != 1 || cfg.World != 3 || !reflect.DeepEqual(cfg.Accept, []string{"qsgd4b512"}) {
+		t.Fatalf("membership: %+v", cfg)
+	}
+	if !cfg.Health.Disable {
+		t.Fatalf("-heartbeat 0 left the health plane on: %+v", cfg.Health)
+	}
+	if !cfg.Elastic.Enable || cfg.Elastic.RejoinWindow != 5*time.Second || cfg.Elastic.MaxRejoins != 2 {
+		t.Fatalf("elastic: %+v", cfg.Elastic)
+	}
+	_, f = newSet(workerDefaults)
+	if cfg := f.ClusterConfig("a", 0, 2, nil, nil); cfg.Health.Disable || cfg.Elastic.Enable {
+		t.Fatalf("defaults: health %+v, elastic %+v", cfg.Health, cfg.Elastic)
 	}
 }

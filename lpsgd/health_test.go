@@ -9,17 +9,14 @@ import (
 	"repro/parallel"
 )
 
-// TestHealthOptionValidation: malformed health-plane options surface
-// from NewTrainer, not at the call site.
+// TestHealthOptionValidation: malformed health options surface from
+// NewTrainer, not at the call site.
 func TestHealthOptionValidation(t *testing.T) {
 	model := lpsgd.MLP(64, 8, 4)
 	cases := []struct {
 		name string
 		opt  lpsgd.Option
 	}{
-		{"negative heartbeat", lpsgd.WithHeartbeat(-time.Second, 0)},
-		{"negative heartbeat timeout", lpsgd.WithHeartbeat(time.Second, -time.Second)},
-		{"timeout below interval", lpsgd.WithHeartbeat(time.Second, time.Millisecond)},
 		{"negative step deadline", lpsgd.WithStepDeadline(-time.Second)},
 		{"nil health handler", lpsgd.WithHealthHandler(nil)},
 	}
@@ -28,24 +25,6 @@ func TestHealthOptionValidation(t *testing.T) {
 			t.Errorf("%s: NewTrainer accepted an invalid option", tc.name)
 		}
 	}
-}
-
-// TestElasticOptionValidation: a negative rejoin window is rejected at
-// NewTrainer, and a bare WithElastic outside cluster mode is inert —
-// exactly like the other cluster-shaped options.
-func TestElasticOptionValidation(t *testing.T) {
-	model := lpsgd.MLP(64, 8, 4)
-	if _, err := lpsgd.NewTrainer(model, lpsgd.WithElastic(1, -time.Second)); err == nil {
-		t.Error("NewTrainer accepted a negative rejoin window")
-	}
-	trainer, err := lpsgd.NewTrainer(model,
-		lpsgd.WithElastic(2, 30*time.Second),
-		lpsgd.WithWorkers(2),
-	)
-	if err != nil {
-		t.Fatalf("bare WithElastic outside cluster mode: %v", err)
-	}
-	trainer.Close()
 }
 
 // TestWithStepDeadlineThroughFacade: the step deadline reaches the
@@ -70,11 +49,10 @@ func TestWithStepDeadlineThroughFacade(t *testing.T) {
 	}
 }
 
-// TestHeartbeatIgnoredOutsideCluster: a bare WithHeartbeat without a
-// cluster membership must not break single-process construction.
-func TestHeartbeatIgnoredOutsideCluster(t *testing.T) {
+// TestHealthHandlerIgnoredOutsideCluster: a health handler without a
+// cluster session must not break single-process construction.
+func TestHealthHandlerIgnoredOutsideCluster(t *testing.T) {
 	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 8, 4),
-		lpsgd.WithHeartbeat(100*time.Millisecond, time.Second),
 		lpsgd.WithHealthHandler(func(error) {}),
 		lpsgd.WithWorkers(2),
 	)

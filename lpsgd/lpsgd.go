@@ -26,24 +26,27 @@
 // message is a self-describing quant frame, so peers decode with no
 // out-of-band codec agreement.
 //
-// Training can also span OS processes and machines: WithCluster joins
-// a repro/cluster rendezvous, negotiates the precision policy with the
-// peers (WithAcceptedPolicies, floored at "32bit") and trains this rank
-// of the world over the dialled TCP mesh:
+// Training can also span OS processes and machines: cluster.Join runs
+// the repro/cluster rendezvous — membership, the precision policy
+// negotiated over every rank's accept list (floored at "32bit"), the
+// health plane and elasticity are all spelled in one cluster.Config —
+// and WithClusterSession trains this rank of the world over the
+// dialled TCP mesh:
 //
-//	trainer, err := lpsgd.NewTrainer(model,
-//	    lpsgd.WithCluster("10.0.0.1:7070", rank, 3),
-//	    lpsgd.WithAcceptedPolicies("qsgd4b512;*.b=32bit", "qsgd4b512"),
-//	    lpsgd.WithHeartbeat(250*time.Millisecond, 2*time.Second),
-//	)
+//	sess, err := cluster.Join(cluster.Config{
+//	    Addr: "10.0.0.1:7070", Rank: rank, World: 3,
+//	    Accept: []string{"qsgd4b512;*.b=32bit", "qsgd4b512"},
+//	    Health: health.Config{Interval: 250 * time.Millisecond, Timeout: 2 * time.Second},
+//	})
+//	trainer, err := lpsgd.NewTrainer(model, lpsgd.WithClusterSession(sess))
 //
 // Cluster sessions carry a health plane (repro/health): heartbeats on
 // dedicated control links, a phi-or-deadline failure detector, and a
 // coordinated abort, so a rank dying mid-epoch surfaces on every
 // survivor as the same typed health.ErrPeerDead from Run — within
 // roughly the heartbeat timeout — instead of hanging the exchange.
-// WithHeartbeat tunes it, WithHealthHandler observes the verdict,
-// WithStepDeadline bounds one synchronous step, and
+// cluster.Config.Health tunes it, WithHealthHandler observes the
+// verdict, WithStepDeadline bounds one synchronous step, and
 // Trainer.StepStats reports per-rank step timings with slowest-rank
 // attribution (telemetry that rides on the heartbeats themselves).
 //
@@ -56,7 +59,6 @@ import (
 	"time"
 
 	"repro/cluster"
-	"repro/elastic"
 	"repro/health"
 	"repro/nn"
 	"repro/obs"
@@ -111,24 +113,15 @@ func (t Transport) String() string {
 
 // config accumulates options before they are handed to the engine.
 type config struct {
-	cfg     parallel.Config
-	lr      float32
-	err     error
-	cluster *clusterJoin
-	accept  []string
+	cfg parallel.Config
+	lr  float32
+	err error
+	// session is the WithClusterSession membership, owned from the
+	// moment the option ran.
+	session *cluster.Session
 	// handler is the WithHealthHandler callback, registered on the
 	// session's monitor once one exists.
 	handler func(error)
-}
-
-// clusterJoin is a pending or pre-established cluster membership.
-type clusterJoin struct {
-	addr        string
-	rank, world int
-	timeout     time.Duration
-	health      health.Config
-	elastic     elastic.Config
-	session     *cluster.Session
 }
 
 // Option mutates the trainer configuration; invalid options surface
@@ -201,144 +194,29 @@ func WithPrimitive(p Primitive) Option {
 	return func(c *config) { c.cfg.Primitive = p }
 }
 
-// WithCluster runs this process as one rank of a multi-process world:
-// NewTrainer performs the cluster rendezvous at addr (rank 0 listens
-// and coordinates, other ranks dial in), negotiates the session's
-// precision policy with the peers, and returns a trainer that drives
-// only this rank — gradients cross process and machine boundaries over
-// the dialled TCP mesh. The negotiated policy overrides WithPolicy
-// (which still contributes to the advertised set; see
-// WithAcceptedPolicies), and the world size overrides WithWorkers.
-// Every rank must use the same seed, schedule, batch size and model
-// builder, or the replicas will not stay bit-identical.
-func WithCluster(addr string, rank, world int) Option {
-	return func(c *config) {
-		if c.cluster == nil {
-			c.cluster = &clusterJoin{}
-		}
-		// An already-adopted session is owned and must not leak when a
-		// later option replaces the membership.
-		if c.cluster.session != nil {
-			c.cluster.session.Close()
-			c.cluster.session = nil
-		}
-		c.cluster.addr = addr
-		c.cluster.rank = rank
-		c.cluster.world = world
-	}
-}
-
-// WithClusterSession adopts an already-established cluster membership —
-// for launchers that need cluster.NewCoordinator first to learn a
-// ":0" rendezvous port before spawning the other ranks. The trainer
-// takes ownership of the session and closes it on Close.
+// WithClusterSession runs this process as one rank of a multi-process
+// world: the trainer drives only this rank, and gradients cross
+// process and machine boundaries over the session's dialled TCP mesh.
+// The session — from cluster.Join, cluster.Coordinator.Join or
+// cluster.Rejoin — fixes everything the rendezvous settled: its
+// negotiated policy overrides WithPolicy, its world size overrides
+// WithWorkers, and its health plane and elasticity are the ones its
+// cluster.Config asked for (the coordinator's heartbeat and rejoin
+// window govern every rank; the rejoin budget is this process's
+// Elastic.MaxRejoins). Every rank must use the same seed, schedule,
+// batch size and model builder, or the replicas will not stay
+// bit-identical. The trainer takes ownership of the session and closes
+// it on Close; a later WithClusterSession closes the one it replaces.
 func WithClusterSession(s *cluster.Session) Option {
 	return func(c *config) {
 		if s == nil {
 			c.fail(fmt.Errorf("lpsgd: nil cluster session"))
 			return
 		}
-		if c.cluster == nil {
-			c.cluster = &clusterJoin{}
+		if c.session != nil && c.session != s {
+			c.session.Close()
 		}
-		if c.cluster.session != nil && c.cluster.session != s {
-			c.cluster.session.Close()
-		}
-		c.cluster.session = s
-	}
-}
-
-// WithClusterTimeout bounds every step of the WithCluster rendezvous
-// handshake — dialling the coordinator (with retries while it is not
-// up yet), the hello/welcome exchange, and mesh establishment. The
-// default is 30 seconds; hand-launched multi-machine runs or
-// schedulers that place ranks slowly need more. It does not bound the
-// training traffic that follows, and has no effect with
-// WithClusterSession (the session was already established).
-func WithClusterTimeout(d time.Duration) Option {
-	return func(c *config) {
-		if d <= 0 {
-			c.fail(fmt.Errorf("lpsgd: cluster timeout must be positive, got %v", d))
-			return
-		}
-		if c.cluster == nil {
-			c.cluster = &clusterJoin{}
-		}
-		c.cluster.timeout = d
-	}
-}
-
-// WithHeartbeat tunes the cluster's health plane: every rank pings
-// every peer over a dedicated control link each interval, and a peer
-// silent for timeout (or whose inter-arrival statistics say it should
-// have spoken long ago — see health.Detector) is declared dead. The
-// first rank to reach a verdict broadcasts a coordinated abort, so
-// every survivor's Run returns the same health.ErrPeerDead instead of
-// hanging in the exchange. A zero interval disables the health plane
-// entirely; a zero timeout defaults to 8× the interval.
-//
-// The coordinator's values govern the whole session (they ride in the
-// rendezvous welcome); on other ranks the option only shapes the
-// advertised preference. It has no effect with WithClusterSession —
-// the session's health plane was fixed when the rendezvous ran — and
-// outside cluster mode.
-func WithHeartbeat(interval, timeout time.Duration) Option {
-	return func(c *config) {
-		if interval < 0 || timeout < 0 {
-			c.fail(fmt.Errorf("lpsgd: heartbeat interval %v / timeout %v must not be negative", interval, timeout))
-			return
-		}
-		if timeout > 0 && timeout < interval {
-			c.fail(fmt.Errorf("lpsgd: heartbeat timeout %v shorter than the interval %v", timeout, interval))
-			return
-		}
-		if c.cluster == nil {
-			c.cluster = &clusterJoin{}
-		}
-		c.cluster.health = health.Config{
-			Interval: interval,
-			Timeout:  timeout,
-			Disable:  interval == 0,
-		}
-	}
-}
-
-// WithElastic turns a death verdict into a recoverable event: instead
-// of aborting the whole cluster when one rank dies, the survivors
-// quiesce at the next step barrier, the coordinator holds a rejoin
-// barrier open for rejoinWindow, a replacement process (lpsgd-worker
-// -rejoin, typically launched by a supervisor reacting to the death)
-// claims the dead rank's slot via rendezvous state transfer, and
-// training resumes — with digests bit-identical to an uninterrupted
-// run for residual-free precision policies (32bit, the QSGD family;
-// see repro/elastic for the exact-resume contract). maxRejoins caps
-// how many such repairs this process tolerates (0 means
-// elastic.DefaultMaxRejoins, negative means unlimited); a further
-// death, or a window that expires without a replacement, surfaces the
-// usual health.ErrPeerDead. A zero rejoinWindow means
-// elastic.DefaultRejoinWindow.
-//
-// Like WithHeartbeat, the coordinator governs the session: its window
-// rides in the rendezvous welcome and decides for every rank whether
-// elasticity is on (on other ranks the option only sets the local
-// rejoin budget). Elasticity requires the health plane — the failure
-// detector's verdict is the rejoin trigger — so combining WithElastic
-// with a disabled heartbeat is a construction error on the
-// coordinator. No effect outside cluster mode.
-func WithElastic(maxRejoins int, rejoinWindow time.Duration) Option {
-	return func(c *config) {
-		if rejoinWindow < 0 {
-			c.fail(fmt.Errorf("lpsgd: rejoin window must not be negative, got %v", rejoinWindow))
-			return
-		}
-		if c.cluster == nil {
-			c.cluster = &clusterJoin{}
-		}
-		c.cluster.elastic = elastic.Config{
-			Enable:       true,
-			RejoinWindow: rejoinWindow,
-			MaxRejoins:   maxRejoins,
-		}
+		c.session = s
 	}
 }
 
@@ -361,8 +239,8 @@ func WithStepDeadline(d time.Duration) Option {
 // WithHealthHandler registers a callback invoked once per death
 // verdict the health plane reaches — after the fabric has been
 // aborted, so the callback may inspect state but the exchange is
-// already unblocking. In an elastic session (WithElastic) that can
-// mean once per repaired death: the handler is re-registered on every
+// already unblocking. In an elastic session (cluster.Config.Elastic)
+// that can mean once per repaired death: the handler is re-registered on every
 // replacement monitor a rejoin round installs. Use it for operational
 // side channels (alerting, checkpoint-on-death); Run still returns
 // the health.ErrPeerDead verdict when a death goes unrepaired. No
@@ -388,9 +266,9 @@ func WithMetrics(reg *obs.Registry) Option {
 
 // WithTracer attaches an obs step-phase tracer: the trainer and its
 // reducers record compute/quantise/encode/transfer/decode/barrier
-// spans per step, and the cluster session (when one is joined through
-// this facade) records its rendezvous and rejoin rounds as control
-// spans. The tracer is nil-safe and fully inert when unset; convert a
+// spans per step. A cluster session records its rendezvous and rejoin
+// rounds as control spans when the same tracer is its
+// cluster.Config.Tracer. The tracer is nil-safe and fully inert when unset; convert a
 // captured trace with lpsgd-trace to compare against the simulator.
 func WithTracer(tr *obs.Tracer) Option {
 	return func(c *config) { c.cfg.Tracer = tr }
@@ -429,16 +307,6 @@ func WithTelemetryObserver(fn func(peer int, s health.TelemetrySnapshot)) Option
 		}
 		c.cfg.TelemetryObserver = fn
 	}
-}
-
-// WithAcceptedPolicies sets the policy strings (quant.ParsePolicy
-// grammar — bare codec names included) this rank advertises during the
-// cluster rendezvous; the session settles on the cheapest policy every
-// peer accepts by canonical spelling, with "32bit" as the floor.
-// Without this option the rank advertises its configured policy (plus
-// the floor). Outside cluster mode the option has no effect.
-func WithAcceptedPolicies(names ...string) Option {
-	return func(c *config) { c.accept = names }
 }
 
 // WithBatchSize sets the global minibatch size, sharded over workers.
@@ -518,80 +386,43 @@ func NewTrainer(model BuildFunc, opts ...Option) (*Trainer, error) {
 		c.fail(fmt.Errorf("lpsgd: model builder is required"))
 	}
 	if c.err != nil {
-		if c.cluster != nil && c.cluster.session != nil {
-			c.cluster.session.Close()
+		if c.session != nil {
+			c.session.Close()
 		}
 		return nil, c.err
 	}
 	if c.cfg.Schedule == nil {
 		c.cfg.Schedule = nn.ConstantLR(c.lr)
 	}
-	// A bare WithClusterTimeout without WithCluster/WithClusterSession
-	// names no cluster to join and is ignored.
-	if c.cluster != nil && (c.cluster.session != nil || c.cluster.addr != "") {
-		sess := c.cluster.session
-		if sess == nil {
-			var err error
-			sess, err = cluster.Join(cluster.Config{
-				Addr:    c.cluster.addr,
-				Rank:    c.cluster.rank,
-				World:   c.cluster.world,
-				Accept:  c.acceptedPolicies(),
-				Timeout: c.cluster.timeout,
-				Health:  c.cluster.health,
-				Elastic: c.cluster.elastic,
-				Tracer:  c.cfg.Tracer,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		// The rendezvous outcome drives the engine: negotiated policy,
-		// world size, this rank, the established mesh, the health plane
-		// watching it (the trainer owns the monitor and closes it — bye
-		// first, then sockets — in Close), and — when the coordinator
-		// enabled elasticity — the session itself as the trainer's
-		// rejoin controller.
-		c.cfg.Policy = sess.Policy()
-		c.cfg.Workers = sess.World()
-		c.cfg.Rank = sess.Rank()
-		c.cfg.Fabric = sess.Fabric()
-		c.cfg.Monitor = sess.Monitor()
-		c.cfg.UseTCP = false
-		if sess.Elastic().Enable {
-			c.cfg.Elastic = sess
-			c.cfg.MaxRejoins = sess.Elastic().MaxRejoins
-			// WithElastic's budget wins over an adopted session's: the
-			// session learnt the coordinator's window from the welcome,
-			// but the budget is a per-process choice.
-			if c.cluster.elastic.MaxRejoins != 0 {
-				c.cfg.MaxRejoins = c.cluster.elastic.MaxRejoins
-			}
-		}
-		// The handler goes through the trainer, not straight onto the
-		// session's monitor: a rejoin round replaces the monitor, and
-		// the trainer re-registers the handler on each replacement so
-		// alerting keeps working across repairs.
-		c.cfg.HealthHandler = c.handler
-		t, err := parallel.NewTrainer(model, c.cfg)
-		if err != nil {
-			sess.Close()
-			return nil, err
-		}
-		return t, nil
+	sess := c.session
+	if sess == nil {
+		return parallel.NewTrainer(model, c.cfg)
 	}
-	return parallel.NewTrainer(model, c.cfg)
-}
-
-// acceptedPolicies resolves the advertised policy set for a
-// rendezvous: the explicit WithAcceptedPolicies list, or the configured
-// policy's canonical name.
-func (c *config) acceptedPolicies() []string {
-	if len(c.accept) > 0 {
-		return c.accept
+	// The rendezvous outcome drives the engine: negotiated policy,
+	// world size, this rank, the established mesh, the health plane
+	// watching it (the trainer owns the monitor and closes it — bye
+	// first, then sockets — in Close), and — when the coordinator
+	// enabled elasticity — the session itself as the trainer's rejoin
+	// controller.
+	c.cfg.Policy = sess.Policy()
+	c.cfg.Workers = sess.World()
+	c.cfg.Rank = sess.Rank()
+	c.cfg.Fabric = sess.Fabric()
+	c.cfg.Monitor = sess.Monitor()
+	c.cfg.UseTCP = false
+	if sess.Elastic().Enable {
+		c.cfg.Elastic = sess
+		c.cfg.MaxRejoins = sess.Elastic().MaxRejoins
 	}
-	if c.cfg.Policy != nil {
-		return []string{c.cfg.Policy.Name()}
+	// The handler goes through the trainer, not straight onto the
+	// session's monitor: a rejoin round replaces the monitor, and the
+	// trainer re-registers the handler on each replacement so alerting
+	// keeps working across repairs.
+	c.cfg.HealthHandler = c.handler
+	t, err := parallel.NewTrainer(model, c.cfg)
+	if err != nil {
+		sess.Close()
+		return nil, err
 	}
-	return nil
+	return t, nil
 }
